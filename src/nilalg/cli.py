@@ -28,7 +28,6 @@ def _add_common(sub, *names):
     if "p" in names:
         sub.add_argument("--p", type=int, default=0)
     sub.add_argument("--json", action="store_true", help="emit JSON only")
-    sub.add_argument("--threads", type=int, default=1, help="reserved; computations run single-threaded")
     sub.add_argument("--limit-rows", type=int, default=20_000, dest="limit_rows")
     sub.add_argument("--timeout-sec", type=float, default=None, dest="timeout_sec")
 
@@ -76,7 +75,6 @@ def build_parser():
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--csv", action="store_true")
-    sp.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -115,9 +113,6 @@ def _validate(args):
             check_characteristic(p)
         except ValueError as exc:
             raise UsageError(str(exc))
-    t = getattr(args, "threads", 1)
-    if t is not None and t < 1:
-        raise UsageError("--threads must be >= 1")
 
 
 def _emit(args, payload, text_lines):

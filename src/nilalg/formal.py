@@ -2,11 +2,16 @@
 
 The field is the rationals (p=0, coefficients stored as Fraction) or the
 prime field F_p (coefficients stored as ints in 1..p-1).  Zero coefficients
-are never stored.
+are never stored.  A prime must be at most MAX_PRIME = 3 037 000 499, so
+that the product of two residues always fits the int64 rows of the mod-p
+elimination kernel.  check_characteristic remembers every accepted
+characteristic, so the trial division runs once per prime, not once per sum.
 """
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
 from . import words as W
 
@@ -15,11 +20,24 @@ class FieldError(ValueError):
     pass
 
 
+# (p - 1)**2 <= 2**63 - 1: a product of two residues mod p fits an int64
+MAX_PRIME = isqrt(2**63 - 1)
+
+
+@lru_cache(maxsize=None)
 def check_characteristic(p):
-    """p must be 0 or a prime."""
+    """p must be 0 or a prime <= MAX_PRIME.
+
+    Accepted values are cached; a refused p raises FieldError on every call.
+    """
     if p == 0:
         return p
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if p > MAX_PRIME:
+        raise FieldError(
+            "prime characteristic must be <= %d (int64 elimination), got %r"
+            % (MAX_PRIME, p)
+        )
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise FieldError("characteristic must be 0 or prime, got %r" % (p,))
     return p
 

@@ -14,7 +14,7 @@ expensive exact elimination runs only where the screen leaves doubt.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
@@ -39,6 +39,19 @@ class GuardError(RuntimeError):
 class Limits:
     max_component_words: int = 20_000
     timeout_sec: float | None = None
+    # time.monotonic() value by which the computation must end; fixed from
+    # timeout_sec when a computation starts (see started)
+    deadline: float | None = None
+
+    def started(self):
+        """These limits with the deadline fixed, unless it already is."""
+        if self.timeout_sec is None or self.deadline is not None:
+            return self
+        return replace(self, deadline=time.monotonic() + self.timeout_sec)
+
+    def check_deadline(self, delta):
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise GuardError("timeout reached while building component %r" % (delta,))
 
 
 DEFAULT_LIMITS = Limits()
@@ -325,11 +338,11 @@ def component_basis(n, d, p, delta, limits=None):
         raise ValueError("delta %r does not match d=%d" % (delta, d))
     if sum(delta) < 1:
         raise ValueError("need total degree >= 1")
-    limits = limits or DEFAULT_LIMITS
     key = (n, p, delta)
     hit = _cache.get(key)
     if hit is not None:
         return hit
+    limits = (limits or DEFAULT_LIMITS).started()
 
     ws = _component_words(delta, limits)
     index = {w: i for i, w in enumerate(ws)}
@@ -355,6 +368,7 @@ def component_basis(n, d, p, delta, limits=None):
             for row in child.echelon.rows:
                 if full():
                     break
+                limits.check_deadline(delta)
                 if p:
                     cols = np.nonzero(row)[0]
                     left = {index[letter + child.words[c]]: int(row[c]) for c in cols}
@@ -376,6 +390,7 @@ def component_basis(n, d, p, delta, limits=None):
         # unbordered polarization instances at exactly delta
         if not full():
             for f in bare_instances(n, delta, p):
+                limits.check_deadline(delta)
                 ech.add({index[w]: c for w, c in f.terms.items()})
                 if full():
                     break
@@ -393,6 +408,7 @@ def quotient_dimension(n, d, p, delta, limits=None):
     quotient over Q and skips the exact elimination.
     """
     delta = tuple(delta)
+    limits = (limits or DEFAULT_LIMITS).started()
     if p == 0:
         screen = component_basis(n, d, SCREEN_PRIME, delta, limits)
         if screen.quotient_dimension == 0:
@@ -472,25 +488,38 @@ class NilpotencyResult:
     n: int
     d: int
     p: int
-    degree: int | None  # None when the search exceeded max_deg
+    degree: int | None  # None when the search exceeded max_deg or stopped
     max_deg: int
     witness: tuple | None
     per_degree: list = field(default_factory=list)
+    # why a partial result stopped early (a guard's message), and the last
+    # degree whose components were all computed before it did
+    stopped: str | None = None
+    completed_degree: int | None = None
 
     @property
     def exceeded(self):
-        return self.degree is None
+        return self.degree is None and self.stopped is None
 
     def to_json(self):
-        return {
+        if self.degree is not None:
+            degree = self.degree
+        elif self.stopped is not None:
+            degree = "stopped after degree %d: %s" % (self.completed_degree, self.stopped)
+        else:
+            degree = "exceeds max_deg %d" % self.max_deg
+        out = {
             "n": self.n,
             "d": self.d,
             "p": self.p,
-            "degree": self.degree if self.degree is not None else
-            "exceeds max_deg %d" % self.max_deg,
+            "degree": degree,
             "witness": W.format_word(self.witness) if self.witness else None,
             "per_degree": self.per_degree,
         }
+        if self.stopped is not None:
+            out["stopped"] = self.stopped
+            out["completed_degree"] = self.completed_degree
+        return out
 
 
 def nilpotency_degree(n, d, p, max_deg, limits=None):
@@ -500,21 +529,22 @@ def nilpotency_degree(n, d, p, max_deg, limits=None):
     is an automorphism, so the other components have the same dimensions
     (this symmetry is property-tested, not just assumed).
     """
-    limits = limits or DEFAULT_LIMITS
-    start = time.monotonic()
+    limits = (limits or DEFAULT_LIMITS).started()
     log = []
     witness = None
     for c in range(1, max_deg + 1):
         all_zero = True
         witness_at_c = None
         for delta in _sorted_multidegrees(c, d):
-            if limits.timeout_sec is not None:
-                if time.monotonic() - start > limits.timeout_sec:
-                    raise GuardError(
-                        "timeout after degree %d" % (c - 1),
-                        partial=NilpotencyResult(n, d, p, None, max_deg, witness, log),
-                    )
-            qdim = quotient_dimension(n, d, p, delta, limits)
+            try:
+                limits.check_deadline(delta)
+                qdim = quotient_dimension(n, d, p, delta, limits)
+            except GuardError as exc:
+                exc.partial = NilpotencyResult(
+                    n, d, p, None, max_deg, witness, log,
+                    stopped=str(exc), completed_degree=c - 1,
+                )
+                raise
             basis = None
             if qdim:
                 all_zero = False

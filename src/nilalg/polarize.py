@@ -4,31 +4,45 @@ t_theta(n, theta, (a_1..a_r)) is the sum over all ways to arrange theta_1
 copies of a_1, ..., theta_r copies of a_r into a product of n factors.  The
 bordered instances u * t_theta(...) * v of fixed multidegree span the
 corresponding graded component of the relation ideal of the nil algebra.
+
+bare_instances enumerates the unbordered instances at exact multidegree:
+a branch of the (theta_i, a_i) search is cut as soon as the letters left
+cannot give every later slot a letter, and the last pair's argument
+multidegree is budget/theta_i.  ideal_instances keeps the plain enumeration
+of every pair multiset within the budget and serves as the reference the
+tests compare against.  The arrangements of each theta and the candidate
+arguments of each (budget, theta_i, spare slots) are computed once per
+process.
 """
+
+from functools import lru_cache
 
 from . import words as W
 from .formal import FormalSum
 
 
+@lru_cache(maxsize=None)
 def _arrangements(counts):
-    """Distinct sequences using counts[i] copies of symbol i."""
+    """Distinct sequences using counts[i] copies of symbol i, as a tuple."""
     total = sum(counts)
     seq = []
     counts = list(counts)
+    out = []
 
     def rec():
         if len(seq) == total:
-            yield tuple(seq)
+            out.append(tuple(seq))
             return
         for i, c in enumerate(counts):
             if c:
                 counts[i] -= 1
                 seq.append(i)
-                yield from rec()
+                rec()
                 seq.pop()
                 counts[i] += 1
 
-    yield from rec()
+    rec()
+    return tuple(out)
 
 
 def t_theta(n, theta, args, p=0, d=None):
@@ -81,7 +95,7 @@ def _sub_multidegrees(budget, scale):
     return out
 
 
-def _pair_multisets(n, budget, p):
+def _pairs_within(n, budget):
     """Multisets of (theta_i, a_i) pairs with sum(theta)=n, sum theta_i*mdeg(a_i) <= budget.
 
     Pairs are emitted as sorted tuples, which deduplicates instances up to
@@ -107,6 +121,55 @@ def _pair_multisets(n, budget, p):
     yield from rec(n, tuple(budget), (0, ()), [])
 
 
+@lru_cache(maxsize=None)
+def _arguments(budget, theta_i, spare):
+    """(mu, words of multidegree mu) for the a_i that can still finish a multiset.
+
+    mu runs ascending over the nonzero multidegrees with theta_i * mu <=
+    budget.  With spare == 0 slots left, only mu = budget / theta_i closes
+    the budget exactly; otherwise the budget left must hold at least one
+    letter per spare slot.
+    """
+    if spare == 0:
+        if any(b % theta_i for b in budget) or not any(budget):
+            return ()
+        mu = tuple(b // theta_i for b in budget)
+        return ((mu, tuple(W.enumerate_words(mu))),)
+    total = sum(budget)
+    return tuple(
+        (mu, tuple(W.enumerate_words(mu)))
+        for mu in _sub_multidegrees(budget, theta_i)
+        if total - theta_i * sum(mu) >= spare
+    )
+
+
+def _pair_multisets(n, budget):
+    """The multisets of _pairs_within(n, budget) that use the budget exactly.
+
+    Same multisets in the same order, without visiting the branches that
+    cannot close the budget: later pairs have theta_j >= theta_i, and every
+    later slot needs at least one letter.
+    """
+
+    def rec(n_left, budget_left, min_pair, acc):
+        if n_left == 0:
+            yield acc
+            return
+        for theta_i in range(max(min_pair[0], 1), n_left + 1):
+            spare = n_left - theta_i
+            if 0 < spare < theta_i:
+                continue
+            for mu, words in _arguments(budget_left, theta_i, spare):
+                new_budget = tuple(b - theta_i * m for b, m in zip(budget_left, mu))
+                for a in words:
+                    pair = (theta_i, a)
+                    if pair < min_pair:
+                        continue
+                    yield from rec(spare, new_budget, pair, acc + [pair])
+
+    yield from rec(n, tuple(budget), (0, ()), [])
+
+
 def bare_instances(n, delta, p=0):
     """Unbordered polarization instances of multidegree exactly delta.
 
@@ -114,13 +177,7 @@ def bare_instances(n, delta, p=0):
     mdeg(a_i) equal to delta, deduplicated up to pair permutation.
     """
     d = len(delta)
-    for pairs in _pair_multisets(n, delta, p):
-        used = [0] * d
-        for theta_i, a in pairs:
-            for k, e in enumerate(W.multidegree(a, d)):
-                used[k] += theta_i * e
-        if tuple(used) != tuple(delta):
-            continue
+    for pairs in _pair_multisets(n, delta):
         f = t_theta(n, [t for t, _ in pairs], [a for _, a in pairs], p=p, d=d)
         if not f.is_zero():
             yield f
@@ -136,7 +193,7 @@ def ideal_instances(n, delta, p=0):
     d = len(delta)
     if sum(delta) < n:
         return
-    for pairs in _pair_multisets(n, delta, p):
+    for pairs in _pairs_within(n, delta):
         used = [0] * d
         for theta_i, a in pairs:
             for k, e in enumerate(W.multidegree(a, d)):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -132,13 +135,33 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+    code, _, _ = run(capsys, "compare", "--n", "10", "--threads", "2")
+    assert code == 2
 
 
 def test_guard_exit_code(capsys):
     code, _, err = run(capsys, "exact", "--n", "3", "--d", "3", "--p", "0",
                        "--max-deg", "8", "--timeout-sec", "0")
     assert code == 1
-    assert "guard" in err
+    first, payload = err.strip().split("\n")
+    assert first.startswith("guard breached: timeout")
+    partial = json.loads(payload)
+    assert partial["degree"].startswith("stopped after degree 0: timeout")
+    assert partial["completed_degree"] == 0
+    assert partial["stopped"].startswith("timeout")
+
+
+def test_prime_beyond_int64_kernel_refused():
+    # such a prime used to overflow the int64 rows and loop forever; run in a
+    # child process so that a regression fails on the timeout, not hangs
+    argv = ["exact", "--n", "3", "--d", "2", "--p", "8589934609",
+            "--max-deg", "7", "--timeout-sec", "2"]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-m", "nilalg.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "3037000499" in done.stderr
 
 
 def test_conjecture_flag(capsys):

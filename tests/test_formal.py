@@ -12,11 +12,19 @@ from nilalg.formal import (
 
 
 def test_check_characteristic():
-    for p in (0, 2, 3, 5, 2_147_483_647):
+    # 3_037_000_493 and 3_037_000_507 are the primes next to MAX_PRIME
+    for p in (0, 2, 3, 5, 2_147_483_647, 3_037_000_493):
         check_characteristic(p)
-    for p in (1, 4, 6, -3, 9):
+    for p in (1, 4, 6, -3, 9, 3_037_000_507, 8_589_934_609):
         with pytest.raises(FieldError):
             check_characteristic(p)
+
+
+def test_refused_characteristic_is_not_remembered():
+    # accepted characteristics are cached; a refusal must repeat every time
+    for _ in range(2):
+        with pytest.raises(FieldError):
+            check_characteristic(4)
 
 
 def test_parse_simple():

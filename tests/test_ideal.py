@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -207,6 +208,50 @@ def test_timeout_guard_partial():
     with pytest.raises(I.GuardError) as err:
         I.nilpotency_degree(3, 3, 0, max_deg=8, limits=limits)
     assert err.value.partial is not None
+    assert err.value.partial.completed_degree == 0
+
+
+def test_timeout_inside_component_leaves_cache_clean():
+    # the deadline is checked while a component is built, and the
+    # half-built component is not cached
+    I.clear_cache()
+    with pytest.raises(I.GuardError):
+        I.quotient_dimension(5, 2, 5, (5, 5), I.Limits(timeout_sec=0.0))
+    assert (5, 5, (5, 5)) not in I._cache
+
+
+def test_echelon_exact_at_largest_prime():
+    # products of two residues below MAX_PRIME fit the int64 rows: the
+    # kernel agrees with Python-integer elimination at the largest prime
+    p = 3_037_000_493
+    rng = random.Random(7)
+    rows = [[rng.randrange(p - 1000, p) for _ in range(6)] for _ in range(5)]
+    ech = I.Echelon(6, p)
+    for r in rows:
+        ech.add(dict(enumerate(r)))
+    target = [(3 * a + 5 * b) % p for a, b in zip(rows[0], rows[1])]
+    assert ech.contains(dict(enumerate(target)))
+    ref = _rref_mod(rows, p)
+    assert ech.rank == len(ref)
+    assert ech.rref_rows() == [{j: v for j, v in enumerate(r) if v} for r in ref]
+
+
+def _rref_mod(rows, p):
+    rows = [list(r) for r in rows]
+    out, col = [], 0
+    while rows and col < len(rows[0]):
+        piv = next((r for r in rows if r[col] % p), None)
+        if piv is None:
+            col += 1
+            continue
+        rows.remove(piv)
+        inv = pow(piv[col], -1, p)
+        piv = [v * inv % p for v in piv]
+        rows = [[(a - r[col] * b) % p for a, b in zip(r, piv)] for r in rows]
+        out = [[(a - r[col] * b) % p for a, b in zip(r, piv)] for r in out]
+        out.append(piv)
+        col += 1
+    return out
 
 
 def test_component_basis_counts():

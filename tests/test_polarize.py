@@ -118,6 +118,31 @@ def test_recursive_span_equals_bordered_span(n, delta, p):
         assert basis.echelon.contains(basis.vector_of(f))
 
 
+def _exact_subset_of_within(n, delta, p):
+    """The nonzero instances of the <=-budget pair multisets that use delta exactly."""
+    d = len(delta)
+    for pairs in P._pairs_within(n, delta):
+        used = tuple(sum(t * W.multidegree(a, d)[k] for t, a in pairs) for k in range(d))
+        if used == tuple(delta):
+            f = P.t_theta(n, [t for t, _ in pairs], [a for _, a in pairs], p=p, d=d)
+            if not f.is_zero():
+                yield f
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bare_instances_equal_exact_subset_in_order(n, d, p):
+    # the pruned exact-budget search yields the same instances, in the same
+    # order and with the same terms, as filtering the <=-budget search
+    top = n + (3 if d == 2 else 1)
+    for total in range(1, top + 1):
+        for delta in I._sorted_multidegrees(total, d):
+            got = [list(f.terms.items()) for f in P.bare_instances(n, delta, p)]
+            want = [list(f.terms.items()) for f in _exact_subset_of_within(n, delta, p)]
+            assert got == want, (n, delta, p)
+
+
 def test_arrangement_count_distinct_args():
     f = P.t_theta(4, (1, 1, 1, 1), [(1,), (2,), (1, 2), (2, 1)], p=0, d=2)
     # 24 arrangements, possibly with coinciding products

@@ -79,10 +79,11 @@ def build_parser():
 
 
 def _limits(args):
+    """The command's limits, with its one deadline already running."""
     return I.Limits(
         max_component_words=getattr(args, "limit_rows", 20_000),
         timeout_sec=getattr(args, "timeout_sec", None),
-    )
+    ).started()
 
 
 def _read_expr(args, d, p):
@@ -190,8 +191,9 @@ def run_equiv(args):
 
 def run_reduce4(args):
     f = _read_expr(args, args.d, args.p)
-    g = R.canonicalize(args.d, args.p, f, _limits(args))
-    in_ideal = I.contains(R.N4, args.p, f - g, _limits(args))
+    limits = _limits(args)
+    g = R.canonicalize(args.d, args.p, f, limits)
+    in_ideal = I.contains(R.N4, args.p, f - g, limits)
     payload = {"canonical": format_sum(g), "difference_in_ideal": in_ideal}
     _emit(args, payload, ["canonical form: %s" % format_sum(g),
                           "difference in ideal: %s" % str(in_ideal).lower()])

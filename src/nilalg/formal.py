@@ -1,4 +1,4 @@
-"""Sparse formal sums of words over an exact coefficient field.
+"""Sparse sums over an exact coefficient field, and formal sums of words.
 
 The field is the rationals (p=0, coefficients stored as Fraction) or the
 prime field F_p (coefficients stored as ints in 1..p-1).  Zero coefficients
@@ -6,6 +6,13 @@ are never stored.  A prime must be at most MAX_PRIME = 3 037 000 499, so
 that the product of two residues always fits the int64 rows of the mod-p
 elimination kernel.  check_characteristic remembers every accepted
 characteristic, so the trial division runs once per prime, not once per sum.
+
+accumulate is the one loop that adds coefficients into a sparse dict,
+reduces them mod p and drops zeros.  SparseSum is the field-sum core built
+on it: addition, negation, subtraction, scaling, equality and the check
+that both operands live in one universe.  FormalSum (words over d letters,
+universe (d, p)) and invariants.Poly (exponent vectors, universe
+(nvars, p)) subclass it and add only their constructors and products.
 """
 
 import re
@@ -53,14 +60,92 @@ def coerce_coeff(c, p):
     return c % p
 
 
-class FormalSum:
-    """A finite F-linear combination of words over d letters.
+def accumulate(items, p, terms=None):
+    """Add (key, coefficient) pairs into terms, a new dict by default.
 
-    terms maps word tuples to nonzero stored coefficients.  All arithmetic
-    stays within one (d, p) universe.
+    Sums are reduced mod p when p > 0, and a key whose coefficient becomes
+    zero is dropped.  Returns terms.
+    """
+    if terms is None:
+        terms = {}
+    get = terms.get
+    for key, c in items:
+        c += get(key, 0)
+        if p:
+            c %= p
+        if c:
+            terms[key] = c
+        else:
+            terms.pop(key, None)
+    return terms
+
+
+class SparseSum:
+    """A finite sum of keys with nonzero coefficients in Q or F_p.
+
+    terms maps keys to stored coefficients (see coerce_coeff).  A subclass
+    names its universe: _universe() returns the constructor arguments after
+    terms, ending with p, and the constructor accepts (terms, *universe,
+    _normalized=True) for terms that are already in stored form.  Sums are
+    combined only within one universe.
     """
 
-    __slots__ = ("terms", "d", "p")
+    __slots__ = ("terms", "p")
+
+    def _like(self, terms):
+        """A sum in this universe with the given normalized terms."""
+        return type(self)(terms, *self._universe(), _normalized=True)
+
+    def _check_same_universe(self, other):
+        if type(other) is not type(self) or self._universe() != other._universe():
+            raise FieldError(
+                "mixed universes: %s%r vs %s%r"
+                % (type(self).__name__, self._universe(),
+                   type(other).__name__, other._universe())
+            )
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        self._check_same_universe(other)
+        return self._like(accumulate(other.terms.items(), self.p, dict(self.terms)))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        p = self.p
+        c = coerce_coeff(c, p)
+        if not c:
+            return self._like({})
+        # a product of nonzero field elements is nonzero: nothing to drop
+        if p:
+            return self._like({k: v * c % p for k, v in self.terms.items()})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._universe() == other._universe()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self._universe(), frozenset(self.terms.items())))
+
+
+class FormalSum(SparseSum):
+    """A finite F-linear combination of words over d letters.
+
+    terms maps word tuples to nonzero stored coefficients; the universe is
+    (d, p).
+    """
+
+    __slots__ = ("d",)
 
     def __init__(self, terms, d, p, _normalized=False):
         check_characteristic(p)
@@ -77,6 +162,9 @@ class FormalSum:
                     clean[w] = c
             self.terms = clean
 
+    def _universe(self):
+        return self.d, self.p
+
     @classmethod
     def zero(cls, d, p):
         return cls({}, d, p, _normalized=True)
@@ -85,82 +173,21 @@ class FormalSum:
     def word(cls, w, d, p, coeff=1):
         return cls({tuple(w): coeff}, d, p)
 
-    def is_zero(self):
-        return not self.terms
-
-    def _check_same_universe(self, other):
-        if self.d != other.d or self.p != other.p:
-            raise FieldError(
-                "mixed universes: (d=%d,p=%d) vs (d=%d,p=%d)"
-                % (self.d, self.p, other.d, other.p)
-            )
-
-    def __add__(self, other):
-        self._check_same_universe(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = terms.get(w, 0) + c
-            if self.p:
-                acc %= self.p
-            if acc:
-                terms[w] = acc
-            else:
-                terms.pop(w, None)
-        return FormalSum(terms, self.d, self.p, _normalized=True)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = coerce_coeff(c, self.p)
-        if not c:
-            return FormalSum.zero(self.d, self.p)
-        terms = {}
-        for w, cw in self.terms.items():
-            cc = cw * c
-            if self.p:
-                cc %= self.p
-            if cc:
-                terms[w] = cc
-        return FormalSum(terms, self.d, self.p, _normalized=True)
-
     def __mul__(self, other):
         """Concatenation product, extended bilinearly."""
         self._check_same_universe(other)
-        terms = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = u + v
-                acc = terms.get(w, 0) + cu * cv
-                if self.p:
-                    acc %= self.p
-                if acc:
-                    terms[w] = acc
-                else:
-                    terms.pop(w, None)
-        return FormalSum(terms, self.d, self.p, _normalized=True)
+        return self._like(accumulate(
+            ((u + v, cu * cv)
+             for u, cu in self.terms.items()
+             for v, cv in other.terms.items()),
+            self.p,
+        ))
 
     def map_words(self, fn):
-        """Apply a word-to-word map, collecting coefficients.
-
-        fn may return None to delete a term (used nowhere yet but cheap).
-        """
-        terms = {}
-        for w, c in self.terms.items():
-            w2 = fn(w)
-            if w2 is None:
-                continue
-            acc = terms.get(w2, 0) + c
-            if self.p:
-                acc %= self.p
-            if acc:
-                terms[w2] = acc
-            else:
-                terms.pop(w2, None)
-        return FormalSum(terms, self.d, self.p, _normalized=True)
+        """Apply a word-to-word map, collecting coefficients."""
+        return self._like(
+            accumulate(((fn(w), c) for w, c in self.terms.items()), self.p)
+        )
 
     def multidegrees(self):
         return {W.multidegree(w, self.d) for w in self.terms}
@@ -179,17 +206,6 @@ class FormalSum:
             for delta, t in parts.items()
         }
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalSum)
-            and self.d == other.d
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.p, frozenset(self.terms.items())))
-
     def __repr__(self):
         return "FormalSum(%s, d=%d, p=%d)" % (format_sum(self), self.d, self.p)
 
@@ -207,7 +223,7 @@ def parse_sum(text, d, p):
     A term is ``[coeff '*'] word`` where coeff is INT or INT/INT and word
     uses the x1^2.x2 syntax.
     """
-    terms = {}
+    items = []
     pos = 0
     sign = 1
     text = text.strip()
@@ -244,17 +260,11 @@ def parse_sum(text, d, p):
                 raise W.WordError("expected word after coefficient in %r" % text)
             tok = m.group(1)
             pos = m.end()
-        w = W.parse_word(tok, d)
-        stored = coerce_coeff(coeff, p)
-        acc = (terms.get(w, 0) + stored) % p if p else terms.get(w, 0) + stored
-        if acc:
-            terms[w] = acc
-        else:
-            terms.pop(w, None)
+        items.append((W.parse_word(tok, d), coerce_coeff(coeff, p)))
         sign = 1
     if expect_term:
         raise W.WordError("dangling sign at the end of %r" % text)
-    return FormalSum(terms, d, p, _normalized=True)
+    return FormalSum(accumulate(items, p), d, p, _normalized=True)
 
 
 def format_sum(f):

@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from . import words as W
-from .formal import FormalSum, check_characteristic
+from .formal import FormalSum, accumulate, check_characteristic
 from .polarize import bare_instances
 
 SCREEN_PRIME = 2_147_483_647
@@ -216,19 +216,24 @@ class Echelon:
             return self._add_mod(row)
         return self._add_int(row)
 
+    def row_terms(self, row):
+        """A dense row (stored or residual) as {column: coefficient}."""
+        if self.p:
+            return {int(c): int(row[c]) for c in np.nonzero(row)[0]}
+        return {c: v for c, v in enumerate(row) if v}
+
     def residual(self, coeffs):
         """Exact residual of a vector as {column: field coefficient}."""
         row = self.coerce(coeffs)
         if self.p:
-            red = self._reduce_mod(row)
-            return {int(c): int(red[c]) for c in np.nonzero(red)[0]}
+            return self.row_terms(self._reduce_mod(row))
         denom = 1
         for v in coeffs.values():
             if isinstance(v, Fraction) and v.denominator != 1:
                 denom = denom * v.denominator // gcd(denom, v.denominator)
         red, scale = self._reduce_int(row)
         s = Fraction(1, scale * denom)
-        return {c: v * s for c, v in enumerate(red) if v}
+        return {c: v * s for c, v in self.row_terms(red).items()}
 
     def contains(self, coeffs):
         return not self.residual(coeffs)
@@ -242,37 +247,25 @@ class Echelon:
         order = sorted(self.pivots)
         out = []
         for c in order:
-            raw = self.rows[self.pivots[c]]
-            if self.p:
-                row = {int(j): int(raw[j]) for j in np.nonzero(raw)[0]}
-            else:
-                lead = raw[c]
-                row = {j: Fraction(v, lead) for j, v in enumerate(raw) if v}
+            row = self.row_terms(self.rows[self.pivots[c]])
+            if not self.p:
+                lead = row[c]
+                row = {j: Fraction(v, lead) for j, v in row.items()}
             out.append(row)
         # back-eliminate later pivots out of earlier rows
         for i in range(len(out) - 1, -1, -1):
             ci = order[i]
-            for j in range(i):
-                row = out[j]
-                if ci in row:
-                    c = row[ci]
-                    upd = dict(row)
-                    for k, v in out[i].items():
-                        acc = upd.get(k, 0) - c * v
-                        if self.p:
-                            acc %= self.p
-                        if acc:
-                            upd[k] = acc
-                        else:
-                            upd.pop(k, None)
-                    out[j] = upd
+            for row in out[:i]:
+                c = row.get(ci)
+                if c:
+                    accumulate(((k, -c * v) for k, v in out[i].items()), self.p, row)
         return out
 
 
 class ComponentBasis:
     """Row-reduced span of the relation ideal's component at one multidegree."""
 
-    def __init__(self, n, d, p, delta, words, echelon, saturated):
+    def __init__(self, n, d, p, delta, words, echelon):
         self.n = n
         self.d = d
         self.p = p
@@ -280,7 +273,6 @@ class ComponentBasis:
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
         self.echelon = echelon
-        self.saturated = saturated  # True when generation stopped at full rank
 
     @property
     def rank(self):
@@ -348,7 +340,6 @@ def component_basis(n, d, p, delta, limits=None):
     index = {w: i for i, w in enumerate(ws)}
     ech = Echelon(len(ws), p)
     ncols = len(ws)
-    saturated = False
 
     def full():
         return ech.rank == ncols
@@ -369,21 +360,9 @@ def component_basis(n, d, p, delta, limits=None):
                 if full():
                     break
                 limits.check_deadline(delta)
-                if p:
-                    cols = np.nonzero(row)[0]
-                    left = {index[letter + child.words[c]]: int(row[c]) for c in cols}
-                    right = {index[child.words[c] + letter]: int(row[c]) for c in cols}
-                else:
-                    left = {
-                        index[letter + child.words[c]]: v
-                        for c, v in enumerate(row)
-                        if v
-                    }
-                    right = {
-                        index[child.words[c] + letter]: v
-                        for c, v in enumerate(row)
-                        if v
-                    }
+                terms = child.echelon.row_terms(row)
+                left = {index[letter + child.words[c]]: v for c, v in terms.items()}
+                right = {index[child.words[c] + letter]: v for c, v in terms.items()}
                 ech.add(left)
                 if not full():
                     ech.add(right)
@@ -394,9 +373,8 @@ def component_basis(n, d, p, delta, limits=None):
                 ech.add({index[w]: c for w, c in f.terms.items()})
                 if full():
                     break
-        saturated = full()
 
-    basis = ComponentBasis(n, d, p, delta, ws, ech, saturated)
+    basis = ComponentBasis(n, d, p, delta, ws, ech)
     _cache[key] = basis
     return basis
 
@@ -420,6 +398,7 @@ def contains(n, p, f, limits=None):
     """Ideal membership: does f vanish in the quotient algebra?"""
     if f.is_zero():
         return True
+    limits = (limits or DEFAULT_LIMITS).started()
     for delta, part in f.split_multihomogeneous().items():
         basis = component_basis(n, f.d, p, delta, limits)
         if not basis.echelon.contains(basis.vector_of(part)):
@@ -436,6 +415,7 @@ def reduce(n, p, f, limits=None):
     """
     if f.is_zero():
         return f
+    limits = (limits or DEFAULT_LIMITS).started()
     out = FormalSum.zero(f.d, f.p)
     for delta, part in f.split_multihomogeneous().items():
         basis = component_basis(n, f.d, p, delta, limits)
@@ -583,90 +563,52 @@ def _strictly_greater(w, rep, d, order):
 def equiv_zero(n, p, f, order, limits=None):
     """Is f equivalent to zero modulo words strictly greater in the order?
 
-    f is split into groups of mutually equivalent terms (same sorted run
-    vectors for order='gtr', same run counts for order='succ'); each group
-    must lie in the span of the ideal component together with the unit
-    vectors of all strictly greater words.
+    The verdict of equiv_zero_certificate.
     """
-    if order not in _EQUIV_ORDERS:
-        raise ValueError("order must be 'gtr' or 'succ', got %r" % (order,))
-    if f.is_zero():
-        return True
-    d = f.d
-    groups = {}
-    for w, c in f.terms.items():
-        key = (W.multidegree(w, d), _class_key(w, d, order))
-        groups.setdefault(key, {})[w] = c
-    for (delta, _), terms in groups.items():
-        part = FormalSum(terms, d, f.p, _normalized=True)
-        rep = next(iter(terms))
-        basis = component_basis(n, d, p, delta, limits)
-        ech = Echelon(len(basis.words), p)
-        for row in basis.echelon.rows:
-            if p:
-                ech.add({int(c): int(row[c]) for c in np.nonzero(row)[0]})
-            else:
-                ech.add({c: v for c, v in enumerate(row) if v})
-        for i, w in enumerate(basis.words):
-            if _strictly_greater(w, rep, d, order):
-                ech.add({i: 1})
-        if not ech.contains(basis.vector_of(part)):
-            return False
-    return True
+    return equiv_zero_certificate(n, p, f, order, limits)[0]
 
 
 def equiv_zero_certificate(n, p, f, order, limits=None):
-    """Like equiv_zero, but also returns the greater-word combination g
-    with contains(f - g) when the answer is True."""
-    if not equiv_zero(n, p, f, order, limits):
-        return False, None
+    """(verdict, g): is f equivalent to zero modulo strictly greater words?
+
+    f is split into groups of mutually equivalent terms (same sorted run
+    vectors for order='gtr', same run counts for order='succ'); each group
+    must lie in the span of the ideal component together with the unit
+    vectors of all strictly greater words.  If all do, g is a combination
+    of strictly greater words with contains(f - g); otherwise g is None.
+
+    Each group is reduced by the component's rows and one row e_i + t_j per
+    strictly greater word i, with a tag column t_j after the word columns.
+    It lies in the span exactly when its residual has no word column, and
+    then its part of g is -sum resid[t_j] e_i.
+    """
+    if order not in _EQUIV_ORDERS:
+        raise ValueError("order must be 'gtr' or 'succ', got %r" % (order,))
+    limits = (limits or DEFAULT_LIMITS).started()
     d = f.d
-    g = FormalSum.zero(d, f.p)
     groups = {}
     for w, c in f.terms.items():
         key = (W.multidegree(w, d), _class_key(w, d, order))
         groups.setdefault(key, {})[w] = c
+    g = {}
     for (delta, _), terms in groups.items():
-        part = FormalSum(terms, d, f.p, _normalized=True)
         rep = next(iter(terms))
         basis = component_basis(n, d, p, delta, limits)
+        ncols = len(basis.words)
         greater = [
             i
             for i, w in enumerate(basis.words)
             if _strictly_greater(w, rep, d, order)
         ]
-        resid = basis.echelon.residual(basis.vector_of(part))
-        # solve resid = sum gamma_i * residual(e_i) over the greater columns
-        cols = {}
-        for i in greater:
-            cols[i] = basis.echelon.residual({i: 1})
-        gamma = _solve_combination(cols, resid, len(basis.words), p)
-        if gamma is None:
-            raise RuntimeError("certificate extraction failed")  # pragma: no cover
-        gpart = FormalSum(
-            {basis.words[i]: c for i, c in gamma.items()}, d, f.p
+        ech = Echelon(ncols + len(greater), p)
+        for row in basis.echelon.rows:
+            ech.add(basis.echelon.row_terms(row))
+        for j, i in enumerate(greater):
+            ech.add({i: 1, ncols + j: 1})
+        resid = ech.residual({basis.index[w]: c for w, c in terms.items()})
+        if any(c < ncols for c in resid):
+            return False, None
+        accumulate(
+            ((basis.words[greater[c - ncols]], -v) for c, v in resid.items()), f.p, g
         )
-        g = g + gpart
-    return True, g
-
-
-def _solve_combination(cols, target, ncols, p):
-    """Express target as a combination of the given column vectors.
-
-    cols maps a tag to a sparse vector; returns {tag: coefficient} or None.
-    Augmented streaming elimination at the small sizes used here.
-    """
-    width = ncols + len(cols)
-    ech = Echelon(width, p)
-    tags = list(cols)
-    for j, tag in enumerate(tags):
-        row = dict(cols[tag])
-        row[ncols + j] = 1
-        ech.add(row)
-    resid = ech.residual(dict(target))
-    if any(c < ncols for c in resid):
-        return None
-    out = {}
-    for c, v in resid.items():
-        out[tags[c - ncols]] = -v if p == 0 else (-v) % p
-    return out
+    return True, FormalSum(g, d, f.p)

@@ -9,11 +9,12 @@ minors, which is valid in every characteristic.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import add
 
 from . import bounds as B
 from . import words as W
-from .formal import check_characteristic, coerce_coeff
-from .ideal import Echelon
+from .formal import SparseSum, accumulate, check_characteristic, coerce_coeff
+from .ideal import DEFAULT_LIMITS, Echelon, GuardError
 
 
 def var_index(n, d, i, j, k):
@@ -21,10 +22,13 @@ def var_index(n, d, i, j, k):
     return ((k - 1) * n + i) * n + j
 
 
-class Poly:
-    """Sparse multivariate polynomial; exponent tuples -> field coefficients."""
+class Poly(SparseSum):
+    """Sparse multivariate polynomial; exponent tuples -> field coefficients.
 
-    __slots__ = ("terms", "nvars", "p")
+    The universe is (nvars, p).
+    """
+
+    __slots__ = ("nvars",)
 
     def __init__(self, terms, nvars, p, _normalized=False):
         self.nvars = nvars
@@ -38,6 +42,9 @@ class Poly:
                 if c:
                     clean[e] = c
             self.terms = clean
+
+    def _universe(self):
+        return self.nvars, self.p
 
     @classmethod
     def zero(cls, nvars, p):
@@ -53,63 +60,14 @@ class Poly:
         e[idx] = 1
         return cls({tuple(e): 1}, nvars, p)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, 0) + c
-            if self.p:
-                acc %= self.p
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
-        return Poly(terms, self.nvars, self.p, _normalized=True)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = coerce_coeff(c, self.p)
-        if not c:
-            return Poly.zero(self.nvars, self.p)
-        terms = {}
-        for e, ce in self.terms.items():
-            cc = ce * c
-            if self.p:
-                cc %= self.p
-            if cc:
-                terms[e] = cc
-        return Poly(terms, self.nvars, self.p, _normalized=True)
-
     def __mul__(self, other):
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(e, 0) + c1 * c2
-                if self.p:
-                    acc %= self.p
-                if acc:
-                    terms[e] = acc
-                else:
-                    terms.pop(e, None)
-        return Poly(terms, self.nvars, self.p, _normalized=True)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, frozenset(self.terms.items())))
+        self._check_same_universe(other)
+        return self._like(accumulate(
+            ((tuple(map(add, e1, e2)), c1 * c2)
+             for e1, c1 in self.terms.items()
+             for e2, c2 in other.terms.items()),
+            self.p,
+        ))
 
     def evaluate(self, values):
         """Evaluate at a full vector of scalars."""
@@ -289,16 +247,23 @@ def _all_words_of_degree(deg, d):
     return out
 
 
-def subalgebra_reduce(gens, target, p=0):
+def subalgebra_reduce(gens, target, p=0, limits=None):
     """Does target lie in the span of products of the given generators?
 
     Products are restricted to those whose X-multidegrees sum to the
     target's; this is the degreewise membership test in the graded ring.
+    The elimination may have at most limits.max_component_words columns.
     """
+    limits = limits or DEFAULT_LIMITS
     products = _graded_products(gens, target.xdeg, p)
     monomials = set(target.poly.terms)
     for poly in products:
         monomials.update(poly.terms)
+    if len(monomials) > limits.max_component_words:
+        raise GuardError(
+            "invariant component %r has %d monomials, over the limit of %d"
+            % (target.xdeg, len(monomials), limits.max_component_words)
+        )
     index = {m: i for i, m in enumerate(sorted(monomials))}
     ech = Echelon(len(index), p)
     for poly in products:
@@ -340,8 +305,10 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
 
     For every t and every word a of degree in (cap, cap + extra_deg], the
     invariant sigma_t(X_a) must reduce into products of the generators.
-    Returns a report with one entry per case.
+    Returns a report with one entry per case.  limits bounds each case's
+    elimination width, and its deadline, fixed once, the whole check.
     """
+    limits = (limits or DEFAULT_LIMITS).started()
     gens = generator_set(n, d, p, c_source)
     allgens = gens.all()
     cap_of = c_source or (lambda m: _default_degree_cap(m, d, p))
@@ -356,7 +323,8 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
                     continue
                 seen.add(rep)
                 target = sigma_of_word(n, d, t, rep, p)
-                ok = subalgebra_reduce(allgens, target, p)
+                limits.check_deadline(target.xdeg)
+                ok = subalgebra_reduce(allgens, target, p, limits)
                 cases.append(
                     {"t": t, "word": W.format_word(rep), "deg": deg, "pass": bool(ok)}
                 )

@@ -18,7 +18,7 @@ process.
 from functools import lru_cache
 
 from . import words as W
-from .formal import FormalSum
+from .formal import FormalSum, accumulate
 
 
 @lru_cache(maxsize=None)
@@ -64,16 +64,10 @@ def t_theta(n, theta, args, p=0, d=None):
         d = max(max(a) for a in args)
     for a in args:
         W.validate_word(a, d)
-    terms = {}
-    for s in _arrangements(theta):
-        w = tuple(letter for i in s for letter in args[i])
-        acc = terms.get(w, 0) + 1
-        if p:
-            acc %= p
-        if acc:
-            terms[w] = acc
-        else:
-            terms.pop(w, None)
+    terms = accumulate(
+        ((tuple(letter for i in s for letter in args[i]), 1) for s in _arrangements(theta)),
+        p,
+    )
     return FormalSum(terms, d, p, _normalized=True)
 
 

@@ -47,23 +47,25 @@ def _has_three_two(v):
     return W.is_subvector((3, 2), v)
 
 
-def cross_letter_ok(w, d=None):
-    """Check the cross-letter exclusions on a word's run vectors.
+def _exclusions_ok(vectors):
+    """The cross-letter exclusions on one run vector per letter.
 
     False when some letter has run vector (3,2,1) while another carries a
     (3), when three letters carry a (3), or when two letters carry a (3,2).
     """
-    if d is None:
-        d = max(w)
-    powers = [W.x_power(w, k) for k in range(1, d + 1)]
-    threes = sum(1 for v in powers if _has_three(v))
+    threes = sum(1 for v in vectors if _has_three(v))
     if threes >= 3:
         return False
-    if sum(1 for v in powers if _has_three_two(v)) >= 2:
+    if sum(1 for v in vectors if _has_three_two(v)) >= 2:
         return False
-    if any(v == (3, 2, 1) for v in powers) and threes >= 2:
-        return False
-    return True
+    return not (threes >= 2 and (3, 2, 1) in vectors)
+
+
+def cross_letter_ok(w, d=None):
+    """Check the cross-letter exclusions on a word's run vectors."""
+    if d is None:
+        d = max(w)
+    return _exclusions_ok([W.x_power(w, k) for k in range(1, d + 1)])
 
 
 def is_canonical_word(w, d=None):
@@ -102,6 +104,7 @@ def witness_search(d, p, degree_range, limits=None):
     are tried canonical-profiles-first.  Returns None when every degree in
     the range is exhausted without a witness.
     """
+    limits = (limits or I.DEFAULT_LIMITS).started()
     degrees = sorted(degree_range, reverse=True)
     for total in degrees:
         for delta in I._sorted_multidegrees(total, d):
@@ -121,18 +124,11 @@ def canonical_profiles(d):
     """All multisets of allowed run vectors for d letters that pass the
     cross-letter exclusions.  Degrees and exclusions are symmetric in the
     letters, so multisets suffice for counting arguments."""
-    vectors = sorted(ALLOWED_VECTORS)
-    out = []
-    for combo in combinations_with_replacement(vectors, d):
-        threes = sum(1 for v in combo if _has_three(v))
-        if threes >= 3:
-            continue
-        if sum(1 for v in combo if _has_three_two(v)) >= 2:
-            continue
-        if any(v == (3, 2, 1) for v in combo) and threes >= 2:
-            continue
-        out.append(combo)
-    return out
+    return [
+        combo
+        for combo in combinations_with_replacement(sorted(ALLOWED_VECTORS), d)
+        if _exclusions_ok(combo)
+    ]
 
 
 def max_profile_degree(d, three_letters=None):

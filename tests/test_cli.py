@@ -123,6 +123,15 @@ def test_invariants_gen_check(capsys):
     assert payload["summary"]["all_pass"] is True
 
 
+@pytest.mark.parametrize("flag", [["--timeout-sec", "0"], ["--limit-rows", "1"]])
+def test_invariants_gen_check_guards(capsys, flag):
+    code, out, err = run(capsys, "invariants", "gen-check", "--n", "2", "--d", "2",
+                         "--p", "0", "--extra-deg", "2", *flag)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("guard breached: ")
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "bounds", "--n", "0", "--d", "2")
     assert code == 2

@@ -2,8 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nilalg import ideal as I
+from nilalg import rewrite4 as R
+from nilalg import words as W
 from nilalg.formal import FormalSum, format_sum, parse_sum
 
 
@@ -161,6 +164,74 @@ def test_equiv_false_case():
     assert not ok and cert is None
 
 
+@pytest.fixture
+def clean_cache():
+    """Leave no component behind: later tests expect some to be unbuilt."""
+    yield
+    I.clear_cache()
+
+
+def _equiv_zero_oracle(n, p, f, order):
+    """Reference verdict: each group of equivalent terms must lie in the span
+    of the component's rows plus the unit vectors of its greater words."""
+    groups = {}
+    for w, c in f.terms.items():
+        key = (W.multidegree(w, f.d), I._class_key(w, f.d, order))
+        groups.setdefault(key, {})[w] = c
+    for (delta, _), terms in groups.items():
+        rep = next(iter(terms))
+        basis = I.component_basis(n, f.d, p, delta)
+        ech = I.Echelon(len(basis.words), p)
+        for row in basis.echelon.rref_rows():
+            ech.add(row)
+        for i, w in enumerate(basis.words):
+            if I._strictly_greater(w, rep, f.d, order):
+                ech.add({i: 1})
+        if not ech.contains({basis.index[w]: c for w, c in terms.items()}):
+            return False
+    return True
+
+
+# components of at most 90 words
+_EQUIV_CASES = [
+    (n, delta)
+    for n in (3, 4)
+    for delta in [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 3),
+                  (2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (2, 2, 2)]
+]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_EQUIV_CASES), st.sampled_from([0, 3]),
+       st.sampled_from(["gtr", "succ"]), st.data())
+def test_equiv_certificate_matches_oracle(clean_cache, case, p, order, data):
+    n, delta = case
+    d = len(delta)
+    basis = I.component_basis(n, d, p, delta)
+    coeff = st.integers(1, p - 1) if p else st.integers(-3, 3).filter(bool)
+    words = data.draw(st.lists(st.sampled_from(basis.words), min_size=1,
+                               max_size=3, unique=True))
+    f = FormalSum({w: data.draw(coeff) for w in words}, d, p)
+    # an ideal element added on top often makes the group equivalent to zero
+    rows = basis.rows_as_sums()
+    if rows and data.draw(st.booleans()):
+        f = f + data.draw(st.sampled_from(rows)).scale(data.draw(coeff))
+    ok, g = I.equiv_zero_certificate(n, p, f, order)
+    assert ok == _equiv_zero_oracle(n, p, f, order)
+    assert I.equiv_zero(n, p, f, order) == ok
+    if not ok:
+        assert g is None
+        return
+    assert I.contains(n, p, f - g)
+    for u in g.terms:
+        assert any(
+            W.multidegree(w, d) == W.multidegree(u, d)
+            and I._strictly_greater(u, w, d, order)
+            for w in f.terms
+        ), (format_sum(f), format_sum(g))
+
+
 # ---- mirror / substitution ----
 
 
@@ -209,6 +280,44 @@ def test_timeout_guard_partial():
         I.nilpotency_degree(3, 3, 0, max_deg=8, limits=limits)
     assert err.value.partial is not None
     assert err.value.partial.completed_degree == 0
+
+
+def test_one_deadline_per_call(monkeypatch, capsys, clean_cache):
+    # every component a command builds shares the deadline fixed when the
+    # command started, instead of starting its own
+    seen = []
+    build = I.component_basis
+
+    def recording(n, d, p, delta, limits=None):
+        seen.append(limits.deadline if limits else None)
+        return build(n, d, p, delta, limits)
+
+    monkeypatch.setattr(I, "component_basis", recording)
+    # a member, so that no call stops at the first component
+    f = S("x1^4.x2 + 2*x2^4.x1 - x1^4.x2^2", 2)
+    calls = [
+        lambda lim: I.reduce(4, 0, f, lim),
+        lambda lim: I.contains(4, 0, f, lim),
+        lambda lim: I.equiv_zero_certificate(4, 0, f, "gtr", lim),
+        lambda lim: I.equiv_zero(4, 0, f, "succ", lim),
+        lambda lim: R.witness_search(2, 3, range(1, 8), lim),
+    ]
+    for call in calls:
+        I.clear_cache()
+        seen.clear()
+        call(I.Limits(timeout_sec=600))
+        assert len(seen) >= 3
+        assert None not in seen and len(set(seen)) == 1
+    # reduce4 runs canonicalize and then contains under one deadline
+    from nilalg import cli
+
+    I.clear_cache()
+    seen.clear()
+    assert cli.main(["reduce4", "--d", "2", "--expr", "x1^2.x2^2 + x1^4.x2",
+                     "--timeout-sec", "600"]) == 0
+    capsys.readouterr()
+    assert len(seen) >= 3
+    assert None not in seen and len(set(seen)) == 1
 
 
 def test_timeout_inside_component_leaves_cache_clean():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nilalg import invariants as V
+from nilalg.formal import FieldError
 
 
 def test_sigma_trace_and_det_n2():
@@ -59,6 +60,44 @@ def test_cyclic_invariance_of_sigma():
             fa = V.sigma_poly(t, V.eval_word(2, 2, a), 0)
             fb = V.sigma_poly(t, V.eval_word(2, 2, b), 0)
             assert fa == fb, (a, b, t)
+
+
+def _random_poly(rng, nvars, p):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        e = tuple(rng.randint(0, 2) for _ in range(nvars))
+        terms[e] = rng.randint(1, p - 1) if p else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return V.Poly(terms, nvars, p)
+
+
+@pytest.mark.parametrize("p", [0, 3, 7])
+def test_poly_ring_laws(p):
+    rng = random.Random(p)
+    nvars = 3
+    zero = V.Poly.zero(nvars, p)
+    one = V.Poly.const(1, nvars, p)
+    for _ in range(40):
+        a, b, c = (_random_poly(rng, nvars, p) for _ in range(3))
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and (a * zero).is_zero()
+        assert (a - a).is_zero() and -(-a) == a
+        assert a.scale(2) == a + a and a.scale(p).is_zero()
+        assert all(v for v in (a * b + c).terms.values())
+        if p:
+            assert all(0 < v < p for v in (a * b - c).terms.values())
+
+
+def test_poly_mixed_universes():
+    a = V.Poly.variable(0, 2, 0)
+    for other in (V.Poly.variable(0, 2, 3), V.Poly.variable(0, 3, 0)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(FieldError):
+                op(a, other)
+    assert a != V.Poly.variable(0, 2, 3)
 
 
 def test_generator_set_n2():

@@ -4,27 +4,25 @@ Each multidegree component of the relation ideal is the row space of the
 bordered polarization instances of that multidegree.  Components are built
 recursively: the component at delta is spanned by letter-multiples of the
 components one degree down plus the unbordered instances of multidegree
-exactly delta.  Row reduction is exact: numpy vectors mod p for prime p,
-arbitrary-precision integer rows for the rationals.
-
-For p = 0 a quotient dimension of 0 can be certified cheaply: the rank of an
-integer matrix mod any prime is at most its rank over Q, so a vanishing
-quotient mod the screening prime forces a vanishing quotient over Q.  The
-expensive exact elimination runs only where the screen leaves doubt.
+exactly delta.  Rows are reduced by one kernel (Echelon): an int64 echelon
+mod p, which for p = 0 runs mod LIFT_PRIME and is lifted to Q by rational
+reconstruction, certified by an exact check (multimodular echelon form,
+W. Stein, Modular Forms: A Computational Approach, AMS 2007, ch. 7).
 """
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import isqrt, lcm
 
 import numpy as np
 
 from . import words as W
-from .formal import FormalSum, accumulate, check_characteristic
+from .formal import FieldError, FormalSum, accumulate, check_characteristic, coerce_coeff
 from .polarize import bare_instances
 
-SCREEN_PRIME = 2_147_483_647
+LIFT_PRIME = 2_147_483_647
 
 
 class GuardError(RuntimeError):
@@ -57,209 +55,226 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
-class Echelon:
-    """Streaming row echelon over F_p (numpy) or Q (integer rows).
+def _lift_primes():
+    """LIFT_PRIME, then the primes below it in decreasing order."""
+    for q in range(LIFT_PRIME, 2, -2):
+        with suppress(FieldError):
+            yield check_characteristic(q)
 
-    Rows are kept forward-reduced: each stored row leads at its pivot column
-    and has zeros before it.  reduce() of any vector is the unique residual
-    supported on non-pivot columns.
+
+def _rational(a, m):
+    """The fraction u/v = a mod m with |u|, v <= sqrt(m/2) (unique), or None."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, a, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1) if t1 and abs(t1) <= bound else None
+
+
+def _rref_rows(pivots, free, table, one):
+    """RREF rows as (columns, coefficients): one at pivots[i], and table[i][j]
+    at free[j] where it is nonzero."""
+    return [tuple(zip((c, one), *((j, x) for j, x in zip(free, row) if x)))
+            for c, row in zip(pivots, table)]
+
+
+class Echelon:
+    """Streaming row echelon over F_p, and over Q by a certified lift.
+
+    Rows stream into an echelon mod q, the prime p or, for p = 0, LIFT_PRIME
+    (32-bit residues, int64 arithmetic); add() says whether the rank mod q
+    grew, and rank is that rank until a lift.  Over Q the offered rows are also kept, scaled to integers,
+    and the first read of rows, pivots, rref_rows or residual lifts them:
+    1. take the reduced echelon form (RREF) mod LIFT_PRIME;
+    2. rationally reconstruct its entries, giving rows R;
+    3. check exactly, in integers, that every offered row a equals the sum
+       over pivot columns c of a[c] R_c.  R is independent and rank_Q >=
+       rank mod q = len(R), so R is then the unique RREF over Q;
+    4. if 2 or 3 fails, reduce the offered rows mod further primes, combine
+       by CRT the RREFs of the primes with the best pivot set so far (largest
+       rank, then earliest pivots) and retry 2 and 3.
+    A full rank mod LIFT_PRIME forces a full rank over Q: the RREF is the
+    identity and nothing is reconstructed.  Over F_p, rows are the streamed
+    numpy rows; over Q, the certified RREF as (columns, Fractions) tuples.
     """
 
     def __init__(self, ncols, p):
         self.ncols = ncols
         self.p = p
-        self.rows = []
-        self.pivots = {}  # column -> index into rows
+        self.q = p or LIFT_PRIME
+        # streamed rows mod q (< 2**32), 1 at the pivot and 0 before; one
+        # buffer, of which only the rows written take up memory
+        self._rows = np.empty((ncols, ncols), dtype=np.uint32)
+        self._pivots = {}  # column -> index into _rows
+        # p = 0: the offered (columns, integers) rows, or None while the
+        # certified (rows, pivots) in _exact stand for them
+        self._offered = []
+        self._exact = None
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._exact[0] if self._exact else self._pivots)
 
-    # -- prime field ----------------------------------------------------
+    @property
+    def rows(self):
+        return self.lift()[0]
 
-    def _add_mod(self, row):
-        p = self.p
+    @property
+    def pivots(self):
+        """{pivot column: index into rows}."""
+        return self.lift()[1]
+
+    def lift(self, check=None):
+        """(rows, pivots), over Q certified; check() may raise between steps."""
+        if self.p:
+            return self._rows[:len(self._pivots)], self._pivots
+        if self._exact is None:
+            self._exact = self._certified_rref(check or (lambda: None))
+            self._offered, self._rows, self._pivots = None, None, {}
+        return self._exact
+
+    def _reduce_mod(self, row, insert=False):
+        """The residual of a dense row mod q; with insert, store the row at its
+        first non-pivot nonzero instead: True, or False if it reduces to 0."""
+        q, n = self.q, self.ncols
         pos = 0
-        n = self.ncols
         while pos < n:
             if row[pos] == 0:
                 pos += 1
                 continue
-            piv = self.pivots.get(pos)
-            if piv is None:
-                inv = pow(int(row[pos]), -1, p)
-                row = (row * inv) % p
-                self.pivots[pos] = len(self.rows)
-                self.rows.append(row)
+            piv = self._pivots.get(pos)
+            if piv is not None:
+                row = (row - np.multiply(self._rows[piv], int(row[pos]), dtype=np.int64)) % q
+            elif insert:
+                k = self._pivots[pos] = len(self._pivots)
+                self._rows[k] = row * pow(int(row[pos]), -1, q) % q
                 return True
-            row = (row - int(row[pos]) * self.rows[piv]) % p
-        return False
+            else:
+                pos += 1
+        return False if insert else row
 
-    def _reduce_mod(self, row):
-        p = self.p
-        pos = 0
+    def _rref_mod(self):
+        """(pivots, free columns, table): the RREF mod q has 1 at pivots[i]
+        and table[i] in the free columns."""
+        pivots = sorted(self._pivots)
+        free = [c for c in range(self.ncols) if c not in self._pivots]
+        order = np.array([self._pivots[c] for c in pivots], dtype=np.intp)
+        table = self._rows[np.ix_(order, free)].astype(np.int64)
+        # back-substitution: clear pivot i out of the rows above it
+        for i in range(len(pivots) - 1, 0, -1):
+            column = self._rows[order[:i], pivots[i]].astype(np.int64)
+            above = np.nonzero(column)[0]
+            table[above] = (table[above] - np.outer(column[above], table[i])) % self.q
+        return pivots, free, table
+
+    def _certified_rref(self, check):
+        """The RREF over Q as (rows, pivots), by steps 1-4 above."""
+        check()
         n = self.ncols
-        while pos < n:
-            if row[pos] == 0:
-                pos += 1
+        if len(self._pivots) == n:
+            return [((c,), (Fraction(1),)) for c in range(n)], dict(zip(range(n), range(n)))
+        best = None  # [(-rank, pivots), modulus, RREF table mod the modulus]
+        for q in _lift_primes():
+            check()
+            ech = self
+            if q != self.q:
+                ech = Echelon(n, q)
+                for i, row in enumerate(self._offered):
+                    if i % 1024 == 0:
+                        check()
+                    ech.add(dict(zip(*row)))
+            pivots, free, table = ech._rref_mod()
+            key = (-len(pivots), pivots)
+            if best is None or key < best[0]:
+                best = [key, q, table]
+            elif key == best[0]:
+                m, old = best[1], best[2].astype(object)
+                best[1:] = m * q, old + m * ((table - old) * pow(m, -1, q) % q)
+            else:
+                continue  # q lost rank or moved a pivot: it divides a minor
+            # reconstruct each distinct residue once; where indexes them
+            residues, where = np.unique(best[2], return_inverse=True)
+            fracs = [_rational(int(t), best[1]) for t in residues]
+            if any(x is None for x in fracs):
                 continue
-            piv = self.pivots.get(pos)
-            if piv is None:
-                pos += 1
-                continue
-            row = (row - int(row[pos]) * self.rows[piv]) % p
-        return row
+            where = where.reshape(best[2].shape)
+            if self._spans(pivots, free, fracs, where, check):
+                table = np.array(fracs, dtype=object)[where].tolist()
+                return _rref_rows(pivots, free, table, Fraction(1)), {
+                    c: i for i, c in enumerate(pivots)}
 
-    # -- rationals (integer rows, scale-free) ----------------------------
-
-    @staticmethod
-    def _normalize_int(row):
-        g = 0
-        for e in row:
-            if e:
-                g = gcd(g, e if e > 0 else -e)
-                if g == 1:
-                    break
-        if g > 1:
-            row = [e // g for e in row]
-        for e in row:
-            if e:
-                if e < 0:
-                    row = [-x for x in row]
-                break
-        return row
-
-    def _add_int(self, row):
-        n = self.ncols
-        pos = 0
-        big = False
-        while pos < n:
-            if row[pos] == 0:
-                pos += 1
-                continue
-            piv = self.pivots.get(pos)
-            if piv is None:
-                row = self._normalize_int(row)
-                self.pivots[pos] = len(self.rows)
-                self.rows.append(row)
-                return True
-            prow = self.rows[piv]
-            a, b = prow[pos], row[pos]
-            g = gcd(a, b if b > 0 else -b)
-            a //= g
-            b //= g
-            row = [a * x - b * y for x, y in zip(row, prow)]
-            big = big or abs(a) > 1 << 32
-            if big:
-                row = self._normalize_int(row)
-                big = False
-        return False
-
-    def _reduce_int(self, row):
-        """Returns (integer residual row, positive scalar s); the exact
-        residual of the input is residual/s."""
-        n = self.ncols
-        scale = 1
-        pos = 0
-        while pos < n:
-            if row[pos] == 0:
-                pos += 1
-                continue
-            piv = self.pivots.get(pos)
-            if piv is None:
-                pos += 1
-                continue
-            prow = self.rows[piv]
-            a, b = prow[pos], row[pos]
-            g = gcd(a, b if b > 0 else -b)
-            a //= g
-            b //= g
-            if a < 0:
-                a, b = -a, -b
-            row = [a * x - b * y for x, y in zip(row, prow)]
-            scale *= a
-            g2 = 0
-            for e in row:
-                if e:
-                    g2 = gcd(g2, e if e > 0 else -e)
-                    if g2 == 1:
-                        break
-            if g2 > 1:
-                gg = gcd(g2, scale)
-                if gg > 1:
-                    row = [e // gg for e in row]
-                    scale //= gg
-        return row, scale
-
-    # -- generic interface -----------------------------------------------
+    def _spans(self, pivots, free, fracs, where, check):
+        """Is every offered row a the sum over pivots c of a[c] R_c?  Exact:
+        den a[free] == a[pivots] @ (den table) on integer blocks of rows, den
+        the common denominator, in int64 only if no sum can reach 2**63."""
+        den = lcm(*(x.denominator for x in fracs))
+        scaled = [x.numerator * (den // x.denominator) for x in fracs]
+        top = max((abs(v) for _, vals in self._offered for v in vals), default=0)
+        bound = top * max(den, len(pivots) * max(map(abs, scaled), default=0))
+        dtype = np.int64 if bound < 2**63 else object
+        scaled = np.array(scaled, dtype=dtype)[where]
+        step = max(1, 2**16 // max(1, self.ncols))
+        for start in range(0, len(self._offered), step):
+            check()
+            block = np.zeros((min(step, len(self._offered) - start), self.ncols), dtype)
+            for i, (cols, vals) in enumerate(self._offered[start:start + step]):
+                block[i, list(cols)] = vals
+            if not np.array_equal(block[:, free] * den, block[:, pivots] @ scaled):
+                return False
+        return True
 
     def coerce(self, coeffs):
-        """Dense row from {column index: coefficient}."""
-        if self.p:
-            row = np.zeros(self.ncols, dtype=np.int64)
-            for c, v in coeffs.items():
-                row[c] = v % self.p
-            return row
-        row = [0] * self.ncols
-        denom = 1
-        for v in coeffs.values():
-            if isinstance(v, Fraction) and v.denominator != 1:
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-        for c, v in coeffs.items():
-            row[c] = int(v * denom) if isinstance(v, Fraction) else v * denom
+        """Dense row mod q; FieldError if a denominator is divisible by q."""
+        row = np.zeros(self.ncols, dtype=np.int64)
+        q = self.q
+        row[list(coeffs)] = [v % q if type(v) is int else coerce_coeff(v, q) for v in coeffs.values()]
         return row
 
     def add(self, coeffs):
-        """Insert a row given as {column: coefficient}; True if rank grew."""
-        row = self.coerce(coeffs)
-        if self.p:
-            return self._add_mod(row)
-        return self._add_int(row)
+        """Insert a row {column: coefficient}; True if the rank mod q grew."""
+        if not self.p:
+            if self._offered is None:
+                rows, self._exact, self._offered = self._exact[0], None, []
+                self._rows = np.empty((self.ncols, self.ncols), dtype=np.uint32)
+                for cols, vals in rows:
+                    self.add(dict(zip(cols, vals)))
+            # kept as integers: times the common denominator of the row
+            den = lcm(*(v.denominator for v in coeffs.values()))
+            coeffs = {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()}
+            self._offered.append((tuple(coeffs), tuple(coeffs.values())))
+        return self._reduce_mod(self.coerce(coeffs), insert=True)
 
     def row_terms(self, row):
-        """A dense row (stored or residual) as {column: coefficient}."""
+        """A row (of rows, or a residual mod p) as {column: coefficient}."""
         if self.p:
             return {int(c): int(row[c]) for c in np.nonzero(row)[0]}
-        return {c: v for c, v in enumerate(row) if v}
+        return dict(zip(*row))
 
     def residual(self, coeffs):
         """Exact residual of a vector as {column: field coefficient}."""
-        row = self.coerce(coeffs)
         if self.p:
-            return self.row_terms(self._reduce_mod(row))
-        denom = 1
-        for v in coeffs.values():
-            if isinstance(v, Fraction) and v.denominator != 1:
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-        red, scale = self._reduce_int(row)
-        s = Fraction(1, scale * denom)
-        return {c: v * s for c, v in self.row_terms(red).items()}
+            return self.row_terms(self._reduce_mod(self.coerce(coeffs)))
+        rows, pivots = self.lift()
+        out = {c: coerce_coeff(v, 0) for c, v in coeffs.items() if v}
+        # the rows are reduced: one pass over the vector's pivot columns
+        for c, v in coeffs.items():
+            if c in pivots and v:
+                cols, vals = rows[pivots[c]]
+                accumulate(zip(cols, [-v * x for x in vals]), 0, out)
+        return out
 
     def contains(self, coeffs):
         return not self.residual(coeffs)
 
     def rref_rows(self):
-        """Rows in reduced echelon form with pivot coefficient 1.
-
-        Returned as a list of {column: field coefficient} dicts, ordered by
-        pivot column.
-        """
-        order = sorted(self.pivots)
-        out = []
-        for c in order:
-            row = self.row_terms(self.rows[self.pivots[c]])
-            if not self.p:
-                lead = row[c]
-                row = {j: Fraction(v, lead) for j, v in row.items()}
-            out.append(row)
-        # back-eliminate later pivots out of earlier rows
-        for i in range(len(out) - 1, -1, -1):
-            ci = order[i]
-            for row in out[:i]:
-                c = row.get(ci)
-                if c:
-                    accumulate(((k, -c * v) for k, v in out[i].items()), self.p, row)
-        return out
+        """The RREF rows as {column: field coefficient}, by pivot column."""
+        if self.p:
+            pivots, free, table = self._rref_mod()
+            rows = _rref_rows(pivots, free, table.tolist(), 1)
+        else:
+            rows = self.lift()[0]
+        return [dict(zip(*row)) for row in rows]
 
 
 class ComponentBasis:
@@ -285,10 +300,12 @@ class ComponentBasis:
     def pivot_words(self):
         return [self.words[c] for c in sorted(self.echelon.pivots)]
 
+    def nonpivot_columns(self):
+        pivots = self.echelon.pivots
+        return [c for c in range(len(self.words)) if c not in pivots]
+
     def nonpivot_words(self):
-        return [
-            w for i, w in enumerate(self.words) if i not in self.echelon.pivots
-        ]
+        return [self.words[c] for c in self.nonpivot_columns()]
 
     def vector_of(self, f):
         return {self.index[w]: c for w, c in f.terms.items()}
@@ -374,23 +391,14 @@ def component_basis(n, d, p, delta, limits=None):
                 if full():
                     break
 
+    ech.lift(lambda: limits.check_deadline(delta))
     basis = ComponentBasis(n, d, p, delta, ws, ech)
     _cache[key] = basis
     return basis
 
 
 def quotient_dimension(n, d, p, delta, limits=None):
-    """Dimension of the multidegree-delta component of the quotient algebra.
-
-    For p = 0, a zero quotient mod the screening prime certifies a zero
-    quotient over Q and skips the exact elimination.
-    """
-    delta = tuple(delta)
-    limits = (limits or DEFAULT_LIMITS).started()
-    if p == 0:
-        screen = component_basis(n, d, SCREEN_PRIME, delta, limits)
-        if screen.quotient_dimension == 0:
-            return 0
+    """Dimension of the multidegree-delta component of the quotient algebra."""
     return component_basis(n, d, p, delta, limits).quotient_dimension
 
 
@@ -525,7 +533,6 @@ def nilpotency_degree(n, d, p, max_deg, limits=None):
                     stopped=str(exc), completed_degree=c - 1,
                 )
                 raise
-            basis = None
             if qdim:
                 all_zero = False
                 basis = component_basis(n, d, p, delta, limits)
@@ -577,10 +584,10 @@ def equiv_zero_certificate(n, p, f, order, limits=None):
     vectors of all strictly greater words.  If all do, g is a combination
     of strictly greater words with contains(f - g); otherwise g is None.
 
-    Each group is reduced by the component's rows and one row e_i + t_j per
-    strictly greater word i, with a tag column t_j after the word columns.
-    It lies in the span exactly when its residual has no word column, and
-    then its part of g is -sum resid[t_j] e_i.
+    Each group's residual by the component's echelon is reduced by one row
+    residual(e_i) + t_j per strictly greater word i, in the component's
+    non-pivot columns plus one tag column t_j each.  The group lies in the
+    span iff no word column is left, and its part of g is -sum resid[t_j] e_i.
     """
     if order not in _EQUIV_ORDERS:
         raise ValueError("order must be 'gtr' or 'succ', got %r" % (order,))
@@ -594,21 +601,20 @@ def equiv_zero_certificate(n, p, f, order, limits=None):
     for (delta, _), terms in groups.items():
         rep = next(iter(terms))
         basis = component_basis(n, d, p, delta, limits)
-        ncols = len(basis.words)
-        greater = [
-            i
-            for i, w in enumerate(basis.words)
-            if _strictly_greater(w, rep, d, order)
-        ]
-        ech = Echelon(ncols + len(greater), p)
-        for row in basis.echelon.rows:
-            ech.add(basis.echelon.row_terms(row))
+        component = basis.echelon
+        free = {c: k for k, c in enumerate(basis.nonpivot_columns())}
+        greater = [i for i, w in enumerate(basis.words)
+                   if _strictly_greater(w, rep, d, order)]
+        ech = Echelon(len(free) + len(greater), p)
         for j, i in enumerate(greater):
-            ech.add({i: 1, ncols + j: 1})
-        resid = ech.residual({basis.index[w]: c for w, c in terms.items()})
-        if any(c < ncols for c in resid):
+            row = {free[c]: v for c, v in component.residual({i: 1}).items()}
+            row[len(free) + j] = 1
+            ech.add(row)
+        part = component.residual({basis.index[w]: c for w, c in terms.items()})
+        resid = ech.residual({free[c]: v for c, v in part.items()})
+        if any(c < len(free) for c in resid):
             return False, None
         accumulate(
-            ((basis.words[greater[c - ncols]], -v) for c, v in resid.items()), f.p, g
+            ((basis.words[greater[c - len(free)]], -v) for c, v in resid.items()), f.p, g
         )
     return True, FormalSum(g, d, f.p)

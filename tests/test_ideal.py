@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from nilalg import ideal as I
 from nilalg import rewrite4 as R
 from nilalg import words as W
-from nilalg.formal import FormalSum, format_sum, parse_sum
+from nilalg.formal import FieldError, FormalSum, format_sum, parse_sum
 
 
 def S(text, d, p=0):
@@ -171,9 +173,40 @@ def clean_cache():
     I.clear_cache()
 
 
+def _rref_reference(rows, p):
+    """Plain Gauss-Jordan elimination over Q (Fraction entries) or F_p
+    (Python ints): the nonzero rows of the reduced echelon form, as lists."""
+    field = (lambda x: x % p) if p else Fraction
+    rows = [[field(x) for x in r] for r in rows]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows if r[col]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        inv = pow(piv[col], -1, p) if p else 1 / piv[col]
+        piv = [field(x * inv) for x in piv]
+        for r in rows + out:
+            a = r[col]
+            if a:
+                r[:] = [field(x - a * y) for x, y in zip(r, piv)]
+        out.append(piv)
+    return out
+
+
+def _residual_reference(ref, v, p):
+    """v minus the combination of the reduced rows ref at their pivots."""
+    for r in ref:
+        a = v[next(j for j, x in enumerate(r) if x)]
+        if a:
+            v = [(x - a * y) % p if p else x - a * y for x, y in zip(v, r)]
+    return v
+
+
 def _equiv_zero_oracle(n, p, f, order):
     """Reference verdict: each group of equivalent terms must lie in the span
-    of the component's rows plus the unit vectors of its greater words."""
+    of the component's rows plus the unit vectors of its greater words, by
+    Gauss-Jordan elimination outside the kernel under test."""
     groups = {}
     for w, c in f.terms.items():
         key = (W.multidegree(w, f.d), I._class_key(w, f.d, order))
@@ -181,13 +214,14 @@ def _equiv_zero_oracle(n, p, f, order):
     for (delta, _), terms in groups.items():
         rep = next(iter(terms))
         basis = I.component_basis(n, f.d, p, delta)
-        ech = I.Echelon(len(basis.words), p)
-        for row in basis.echelon.rref_rows():
-            ech.add(row)
-        for i, w in enumerate(basis.words):
-            if I._strictly_greater(w, rep, f.d, order):
-                ech.add({i: 1})
-        if not ech.contains({basis.index[w]: c for w, c in terms.items()}):
+        ncols = len(basis.words)
+        rows = [[row.get(j, 0) for j in range(ncols)]
+                for row in basis.echelon.rref_rows()]
+        rows += [[int(j == i) for j in range(ncols)]
+                 for i, w in enumerate(basis.words)
+                 if I._strictly_greater(w, rep, f.d, order)]
+        target = [terms.get(w, 0) for w in basis.words]
+        if any(_residual_reference(_rref_reference(rows, p), target, p)):
             return False
     return True
 
@@ -340,27 +374,120 @@ def test_echelon_exact_at_largest_prime():
         ech.add(dict(enumerate(r)))
     target = [(3 * a + 5 * b) % p for a, b in zip(rows[0], rows[1])]
     assert ech.contains(dict(enumerate(target)))
-    ref = _rref_mod(rows, p)
+    ref = _rref_reference(rows, p)
     assert ech.rank == len(ref)
     assert ech.rref_rows() == [{j: v for j, v in enumerate(r) if v} for r in ref]
 
 
-def _rref_mod(rows, p):
-    rows = [list(r) for r in rows]
-    out, col = [], 0
-    while rows and col < len(rows[0]):
-        piv = next((r for r in rows if r[col] % p), None)
-        if piv is None:
-            col += 1
-            continue
-        rows.remove(piv)
-        inv = pow(piv[col], -1, p)
-        piv = [v * inv % p for v in piv]
-        rows = [[(a - r[col] * b) % p for a, b in zip(r, piv)] for r in rows]
-        out = [[(a - r[col] * b) % p for a, b in zip(r, piv)] for r in out]
-        out.append(piv)
-        col += 1
-    return out
+def test_echelon_fraction_coefficients_mod_p():
+    # 1/2 is 4 mod 7; a denominator divisible by p has no residue
+    ech = I.Echelon(2, 7)
+    assert ech.add({0: Fraction(1, 2), 1: 1})
+    assert ech.contains({0: 4, 1: 1})
+    assert not ech.contains({0: 1, 1: 1})
+    with pytest.raises(FieldError):
+        ech.add({0: Fraction(1, 7), 1: 1})
+
+
+_Q_ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(-3, 3, max_denominator=4),
+    # entries that vanish or equal 1 mod the lift prime make it a bad prime
+    st.sampled_from([I.LIFT_PRIME, I.LIFT_PRIME + 1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_Q_ENTRIES, min_size=n, max_size=n), max_size=7),
+    st.lists(_Q_ENTRIES, min_size=n, max_size=n),
+    st.integers(0, 7),
+)))
+def test_q_echelon_matches_reference(case):
+    rows, target, split = case
+    ech = I.Echelon(len(target), 0)
+    # rows offered after a first lift join the certified rows
+    for r in rows[:split]:
+        ech.add(dict(enumerate(r)))
+    ech.rref_rows()
+    for r in rows[split:]:
+        ech.add(dict(enumerate(r)))
+    ref = _rref_reference(rows, 0)
+    expected = [{j: x for j, x in enumerate(r) if x} for r in ref]
+    assert ech.rref_rows() == expected
+    assert ech.rank == len(ref)
+    assert sorted(ech.pivots) == [min(r) for r in expected]
+    resid = _residual_reference(ref, [Fraction(x) for x in target], 0)
+    assert ech.residual(dict(enumerate(target))) == {
+        j: x for j, x in enumerate(resid) if x
+    }
+    assert ech.contains(dict(enumerate(target))) == (not any(resid))
+
+
+def _record_lift_primes(monkeypatch):
+    # at most eight primes, so that a lift that never succeeds fails the
+    # test instead of running through every prime below P
+    used = []
+    primes = I._lift_primes
+
+    def recording():
+        for q, _ in zip(primes(), range(8)):
+            used.append(q)
+            yield q
+
+    monkeypatch.setattr(I, "_lift_primes", recording)
+    return used
+
+
+def test_q_echelon_rank_drop_mod_lift_prime(monkeypatch):
+    # mod P both rows are (0, 1): rank 1 there, rank 2 over Q
+    used = _record_lift_primes(monkeypatch)
+    ech = I.Echelon(2, 0)
+    assert ech.add({0: I.LIFT_PRIME, 1: 1})
+    assert not ech.add({1: 1})
+    assert ech.rank == 1
+    assert ech.rref_rows() == [{0: 1}, {1: 1}]
+    assert ech.rank == 2
+    assert ech.residual({0: 3, 1: Fraction(5, 2)}) == {}
+    assert len(used) >= 2 and used[0] == I.LIFT_PRIME
+
+
+def test_q_echelon_crt_beyond_one_prime(monkeypatch):
+    # 100019/100003 has numerator and denominator above sqrt(P/2), so no
+    # single prime reconstructs it: the lift combines primes by CRT
+    used = _record_lift_primes(monkeypatch)
+    ech = I.Echelon(3, 0)
+    ech.add({0: 100003, 1: 100019})
+    ech.add({0: 1, 2: 1})
+    assert ech.rref_rows() == [
+        {0: 1, 2: 1},
+        {1: 1, 2: Fraction(-100003, 100019)},
+    ]
+    assert len(used) >= 2
+    assert ech.residual({0: 2, 1: 1}) == {2: Fraction(-2 * 100019 + 100003, 100019)}
+
+
+def test_q_build_timeout_leaves_cache_clean(monkeypatch, clean_cache):
+    I.clear_cache()
+    with pytest.raises(I.GuardError):
+        I.quotient_dimension(4, 2, 0, (4, 3), I.Limits(timeout_sec=0.0))
+    assert (4, 0, (4, 3)) not in I._cache
+    # the deadline passes just as the lift of (3, 2) starts: the lift checks
+    # it, and the component is not cached
+    I.component_basis(3, 2, 0, (2, 2))
+    I.component_basis(3, 2, 0, (3, 1))
+    limits = I.Limits(timeout_sec=600).started()
+    lift = I.Echelon._certified_rref
+
+    def expiring(self, check):
+        limits.deadline = time.monotonic()
+        return lift(self, check)
+
+    monkeypatch.setattr(I.Echelon, "_certified_rref", expiring)
+    with pytest.raises(I.GuardError):
+        I.component_basis(3, 2, 0, (3, 2), limits)
+    assert (3, 0, (3, 2)) not in I._cache
+    assert (3, 0, (3, 1)) in I._cache
 
 
 def test_component_basis_counts():

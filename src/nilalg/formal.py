@@ -1,8 +1,9 @@
 """Sparse sums over an exact coefficient field, and formal sums of words.
 
-The field is the rationals (p=0, coefficients stored as Fraction) or the
-prime field F_p (coefficients stored as ints in 1..p-1).  Zero coefficients
-are never stored.  A prime must be at most MAX_PRIME = 3 037 000 499, so
+The field is the rationals (p=0, coefficients stored as Fraction, except
+that invariants.Poly keeps an integral coefficient as int) or the prime
+field F_p (coefficients stored as ints in 1..p-1).  Zero coefficients are
+never stored.  A prime must be at most MAX_PRIME = 3 037 000 499, so
 that the product of two residues always fits the int64 arithmetic of the
 mod-p elimination kernel (which stores residues in 32 bits).  check_characteristic remembers every accepted
 characteristic, so the trial division runs once per prime, not once per sum.

@@ -1,14 +1,16 @@
 """Invariants of tuples of generic matrices under simultaneous conjugation.
 
 Entries of the d generic n x n matrices are independent commuting variables;
-polynomials are sparse dicts over Q or F_p.  sigma_t is the coefficient of
-lambda^(n-t) in det(X + lambda E), computed as the sum of principal t x t
-minors, which is valid in every characteristic.
+polynomials are sparse dicts over Q or F_p.  Over Q, Poly keeps an integral
+coefficient as int and a Fraction only for a real denominator, so generic
+matrices, their products and minors are computed in integer arithmetic.
+sigma_t is the coefficient of lambda^(n-t) in det(X + lambda E), computed as
+the sum of principal t x t minors, which is valid in every characteristic.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import add
 
 from . import bounds as B
@@ -25,7 +27,9 @@ def var_index(n, d, i, j, k):
 class Poly(SparseSum):
     """Sparse multivariate polynomial; exponent tuples -> field coefficients.
 
-    The universe is (nvars, p).
+    The universe is (nvars, p).  Over Q the constructor stores an integral
+    coefficient as int, so sums and products of integer polynomials stay in
+    int arithmetic; equal int and Fraction values compare and hash equal.
     """
 
     __slots__ = ("nvars",)
@@ -39,6 +43,8 @@ class Poly(SparseSum):
             clean = {}
             for e, c in terms.items():
                 c = coerce_coeff(c, p)
+                if not p and c.denominator == 1:
+                    c = c.numerator
                 if c:
                     clean[e] = c
             self.terms = clean
@@ -234,69 +240,71 @@ def generator_set(n, d, p, c_source=None):
 
 
 def _all_words_of_degree(deg, d):
-    out = []
-
-    def rec(acc):
-        if len(acc) == deg:
-            out.append(tuple(acc))
-            return
-        for k in range(1, d + 1):
-            rec(acc + [k])
-
-    rec([])
-    return out
+    return list(product(range(1, d + 1), repeat=deg))
 
 
-def subalgebra_reduce(gens, target, p=0, limits=None):
-    """Does target lie in the span of products of the given generators?
+def subalgebra_reduce(gens, targets, p=0, limits=None):
+    """Which targets lie in the span of products of the given generators?
 
-    Products are restricted to those whose X-multidegrees sum to the
-    target's; this is the degreewise membership test in the graded ring.
-    The elimination may have at most limits.max_component_words columns.
+    The targets share one X-multidegree (ValueError otherwise), and the
+    products are those whose X-multidegrees sum to it; this is the
+    degreewise membership test in the graded ring.  One echelon, whose
+    columns are the products' monomials (at most
+    limits.max_component_words of them), serves every target; a target with
+    a monomial outside those columns is not in the span.  Returns one bool
+    per target, in order.
     """
+    xdegs = {target.xdeg for target in targets}
+    if len(xdegs) != 1:
+        raise ValueError("targets must share one X-multidegree, got %r" % sorted(xdegs))
+    (xdeg,) = xdegs
     limits = limits or DEFAULT_LIMITS
-    products = _graded_products(gens, target.xdeg, p)
-    monomials = set(target.poly.terms)
+    products = _graded_products(gens, xdeg)
+    monomials = set()
     for poly in products:
         monomials.update(poly.terms)
     if len(monomials) > limits.max_component_words:
         raise GuardError(
             "invariant component %r has %d monomials, over the limit of %d"
-            % (target.xdeg, len(monomials), limits.max_component_words)
+            % (xdeg, len(monomials), limits.max_component_words)
         )
     index = {m: i for i, m in enumerate(sorted(monomials))}
     ech = Echelon(len(index), p)
     for poly in products:
         ech.add({index[m]: c for m, c in poly.terms.items()})
-    return ech.contains({index[m]: c for m, c in target.poly.terms.items()})
+    return [
+        monomials.issuperset(target.poly.terms)
+        and ech.contains({index[m]: c for m, c in target.poly.terms.items()})
+        for target in targets
+    ]
 
 
-def _graded_products(gens, xdeg, p):
+def _graded_products(gens, xdeg):
     """All products of generators (repetition allowed, order irrelevant)
-    whose X-multidegrees add up to xdeg."""
-    usable = [g for g in gens if all(a <= b for a, b in zip(g.xdeg, xdeg))]
-    nvars = None
-    for g in usable:
-        nvars = g.poly.nvars
-        break
-    out = []
+    whose X-multidegrees add up to xdeg, depth first.
 
-    def rec(i, remaining, acc):
+    An explicit stack, not a self-referencing closure: such a closure is a
+    reference cycle that keeps every product alive until the cyclic garbage
+    collector runs.
+    """
+    usable = [g for g in gens if all(a <= b for a, b in zip(g.xdeg, xdeg))]
+    out = []
+    # (first usable index allowed, X-multidegree left, product so far)
+    stack = [(0, xdeg, None)] if usable else []
+    while stack:
+        i, remaining, acc = stack.pop()
         if not any(remaining):
             out.append(acc)
-            return
-        for j in range(i, len(usable)):
+            continue
+        # pushed in reverse, so popped in the order of usable
+        for j in range(len(usable) - 1, i - 1, -1):
             g = usable[j]
             if all(a <= b for a, b in zip(g.xdeg, remaining)):
-                rec(
+                stack.append((
                     j,
                     tuple(b - a for a, b in zip(g.xdeg, remaining)),
                     acc * g.poly if acc is not None else g.poly,
-                )
-
-    if nvars is None:
-        return []
-    rec(0, tuple(xdeg), None)
+                ))
     return out
 
 
@@ -305,14 +313,17 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
 
     For every t and every word a of degree in (cap, cap + extra_deg], the
     invariant sigma_t(X_a) must reduce into products of the generators.
-    Returns a report with one entry per case.  limits bounds each case's
-    elimination width, and its deadline, fixed once, the whole check.
+    Cases of one X-multidegree are decided together by one
+    subalgebra_reduce call.  Returns a report with one entry per case, in
+    the order of t, degree and word.  limits bounds each group's
+    elimination width, and its deadline, fixed once and checked before each
+    group, the whole check.
     """
     limits = (limits or DEFAULT_LIMITS).started()
-    gens = generator_set(n, d, p, c_source)
-    allgens = gens.all()
+    allgens = generator_set(n, d, p, c_source).all()
     cap_of = c_source or (lambda m: _default_degree_cap(m, d, p))
     cases = []
+    groups = {}  # X-multidegree -> [(target, case)]
     for t in range(1, n + 1):
         cap = cap_of(n // t)
         for deg in range(cap + 1, cap + extra_deg + 1):
@@ -323,11 +334,14 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
                     continue
                 seen.add(rep)
                 target = sigma_of_word(n, d, t, rep, p)
-                limits.check_deadline(target.xdeg)
-                ok = subalgebra_reduce(allgens, target, p, limits)
-                cases.append(
-                    {"t": t, "word": W.format_word(rep), "deg": deg, "pass": bool(ok)}
-                )
+                case = {"t": t, "word": W.format_word(rep), "deg": deg, "pass": None}
+                cases.append(case)
+                groups.setdefault(target.xdeg, []).append((target, case))
+    for xdeg, members in groups.items():
+        limits.check_deadline(xdeg)
+        verdicts = subalgebra_reduce(allgens, [target for target, _ in members], p, limits)
+        for (_, case), ok in zip(members, verdicts):
+            case["pass"] = bool(ok)
     return {
         "n": n,
         "d": d,

@@ -1,10 +1,14 @@
+import gc
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from nilalg import invariants as V
+from nilalg import words as W
 from nilalg.formal import FieldError
+from test_ideal import _residual_reference, _rref_reference
 
 
 def test_sigma_trace_and_det_n2():
@@ -66,7 +70,12 @@ def _random_poly(rng, nvars, p):
     terms = {}
     for _ in range(rng.randint(0, 4)):
         e = tuple(rng.randint(0, 2) for _ in range(nvars))
-        terms[e] = rng.randint(1, p - 1) if p else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        if p:
+            terms[e] = rng.randint(1, p - 1)
+        elif rng.random() < 0.5:
+            terms[e] = rng.randint(-5, 5)
+        else:
+            terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return V.Poly(terms, nvars, p)
 
 
@@ -89,6 +98,24 @@ def test_poly_ring_laws(p):
         assert all(v for v in (a * b + c).terms.values())
         if p:
             assert all(0 < v < p for v in (a * b - c).terms.values())
+        else:
+            # integral coefficients are stored as int, others as Fraction
+            assert all(type(v) is int or v.denominator > 1
+                       for x in (a, b, c) for v in x.terms.values())
+
+
+def test_poly_integer_storage():
+    poly = V.sigma_of_word(2, 2, 2, (1, 2, 1)).poly
+    assert poly.terms and all(type(c) is int for c in poly.terms.values())
+    e = (1, 0, 2)
+    a, b = V.Poly({e: 3}, 3, 0), V.Poly({e: Fraction(3)}, 3, 0)
+    assert a == b and hash(a) == hash(b)
+    assert type(b.terms[e]) is int
+    assert type(V.Poly({e: Fraction(3, 2)}, 3, 0).terms[e]) is Fraction
+    rng = random.Random(5)
+    for _ in range(20):
+        a = _random_poly(rng, 3, 0)
+        assert a.scale(Fraction(1, 2)).scale(2) == a
 
 
 def test_poly_mixed_universes():
@@ -135,6 +162,72 @@ def test_generation_check_n2_d1():
 def test_generation_check_n2_d2(p):
     rep = V.generation_check(2, 2, p, extra_deg=1)
     assert rep["summary"]["all_pass"], rep
+
+
+def test_generation_check_leaves_no_cyclic_garbage():
+    for p in (0, 2, 3):
+        V.generation_check(2, 2, p, 2)  # warm the caches
+    gc.collect()
+    gc.disable()
+    try:
+        for p in (0, 2, 3):
+            V.generation_check(2, 2, p, 2)
+            assert gc.collect() == 0, p
+    finally:
+        gc.enable()
+
+
+def _generation_check_oracle(n, d, p, extra_deg, cap_of):
+    """[(t, word, pass)] in report order, one case at a time: the products
+    of generators are built by brute force over multisets, and membership
+    is decided by plain Gauss-Jordan elimination."""
+    gens = V.generator_set(n, d, p, cap_of).all()
+    out = []
+    for t in range(1, n + 1):
+        cap = cap_of(n // t)
+        for deg in range(cap + 1, cap + extra_deg + 1):
+            reps = dict.fromkeys(V.cyclic_min(a) for a in product(range(1, d + 1), repeat=deg))
+            for rep in reps:
+                target = V.sigma_of_word(n, d, t, rep, p)
+                products = []
+                for k in range(1, sum(target.xdeg) + 1):
+                    for combo in combinations_with_replacement(gens, k):
+                        xdeg = tuple(map(sum, zip(*(g.xdeg for g in combo))))
+                        if xdeg == target.xdeg:
+                            poly = combo[0].poly
+                            for g in combo[1:]:
+                                poly = poly * g.poly
+                            products.append(poly)
+                columns = sorted(set(target.poly.terms).union(
+                    *(poly.terms for poly in products)))
+                rows = [[poly.terms.get(m, 0) for m in columns] for poly in products]
+                vector = [target.poly.terms.get(m, 0) for m in columns]
+                ref = _rref_reference(rows, p)
+                ok = not any(_residual_reference(ref, vector, p))
+                out.append((t, W.format_word(rep), ok))
+    return out
+
+
+@pytest.mark.parametrize("p, failures", [(0, 7), (2, 7), (3, 24)])
+def test_generation_check_failing_cases(p, failures):
+    # degree caps of 1 are too small: some cases must fail
+    cap_of = lambda m: 1  # noqa: E731
+    rep = V.generation_check(2, 2, p, 3, c_source=cap_of)
+    got = [(c["t"], c["word"], c["pass"]) for c in rep["cases"]]
+    assert got == _generation_check_oracle(2, 2, p, 3, cap_of)
+    assert len(got) == 26 and sum(not ok for _, _, ok in got) == failures
+    assert rep["summary"] == {"total": 26, "passed": 26 - failures, "all_pass": False}
+
+
+def test_subalgebra_reduce_one_xdeg():
+    gens = V.generator_set(2, 2, 0).all()
+    a, b = V.sigma_of_word(2, 2, 1, (1, 1, 2, 2)), V.sigma_of_word(2, 2, 1, (1, 2, 1, 2))
+    assert V.subalgebra_reduce(gens, [a, b]) == [True, True]
+    assert V.subalgebra_reduce([g for g in gens if len(g.word) == 1], [a, b]) == [False, False]
+    with pytest.raises(ValueError):
+        V.subalgebra_reduce(gens, [a, V.sigma_of_word(2, 2, 1, (1, 2, 2))])
+    with pytest.raises(ValueError):
+        V.subalgebra_reduce(gens, [])
 
 
 def test_newton_sigma_check():

@@ -120,7 +120,9 @@ class SparseSum:
 
     def scale(self, c):
         p = self.p
-        c = coerce_coeff(c, p)
+        # over Q an int scalar stays int, so an integral Poly stays integral
+        if p or type(c) is not int:
+            c = coerce_coeff(c, p)
         if not c:
             return self._like({})
         # a product of nonzero field elements is nonzero: nothing to drop

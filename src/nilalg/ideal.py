@@ -7,7 +7,9 @@ components one degree down plus the unbordered instances of multidegree
 exactly delta.  Rows are reduced by one kernel (Echelon): an int64 echelon
 mod p, which for p = 0 runs mod LIFT_PRIME and is lifted to Q by rational
 reconstruction, certified by an exact check (multimodular echelon form,
-W. Stein, Modular Forms: A Computational Approach, AMS 2007, ch. 7).
+W. Stein, Modular Forms: A Computational Approach, AMS 2007, ch. 7).  In
+both fields a component caches one reduced form, the sparse RREF, and
+refuses rows added after it; parents, residuals and normal forms all read it.
 """
 
 import time
@@ -72,21 +74,24 @@ def _rational(a, m):
     return Fraction(r1, t1) if t1 and abs(t1) <= bound else None
 
 
-def _rref_rows(pivots, free, table, one):
-    """RREF rows as (columns, coefficients): one at pivots[i], and table[i][j]
+def _rref_rows(pivots, free, table):
+    """RREF rows as (columns, coefficients): 1 at pivots[i], and table[i][j]
     at free[j] where it is nonzero."""
-    return [tuple(zip((c, one), *((j, x) for j, x in zip(free, row) if x)))
+    return [tuple(zip((c, 1), *((j, x) for j, x in zip(free, row) if x)))
             for c, row in zip(pivots, table)]
 
 
 class Echelon:
-    """Streaming row echelon over F_p, and over Q by a certified lift.
+    """Streaming row echelon over F_p or Q, read through one reduced form.
 
     Rows stream into an echelon mod q, the prime p or, for p = 0, LIFT_PRIME
     (32-bit residues, int64 arithmetic); add() says whether the rank mod q
-    grew, and rank is that rank until a lift.  Over Q the offered rows are also kept, scaled to integers,
-    and the first read of rows, pivots, rref_rows or residual lifts them:
-    1. take the reduced echelon form (RREF) mod LIFT_PRIME;
+    grew, and rank is that rank until the reduced form is taken.  Over Q the
+    offered rows are also kept, scaled to integers.  The first read of rows,
+    pivots, rref_rows or residual takes the reduced form, the sparse RREF
+    rows ((pivot, free columns...), (1, entries...)), in both fields.  Mod p
+    it is the RREF mod p by back-substitution; over Q it is certified:
+    1. take the RREF mod LIFT_PRIME;
     2. rationally reconstruct its entries, giving rows R;
     3. check exactly, in integers, that every offered row a equals the sum
        over pivot columns c of a[c] R_c.  R is independent and rank_Q >=
@@ -95,8 +100,8 @@ class Echelon:
        by CRT the RREFs of the primes with the best pivot set so far (largest
        rank, then earliest pivots) and retry 2 and 3.
     A full rank mod LIFT_PRIME forces a full rank over Q: the RREF is the
-    identity and nothing is reconstructed.  Over F_p, rows are the streamed
-    numpy rows; over Q, the certified RREF as (columns, Fractions) tuples.
+    identity and nothing is reconstructed.  Taking the reduced form drops the
+    streamed and the offered rows, and add() is refused after it.
     """
 
     def __init__(self, ncols, p):
@@ -107,14 +112,12 @@ class Echelon:
         # buffer, of which only the rows written take up memory
         self._rows = np.empty((ncols, ncols), dtype=np.uint32)
         self._pivots = {}  # column -> index into _rows
-        # p = 0: the offered (columns, integers) rows, or None while the
-        # certified (rows, pivots) in _exact stand for them
-        self._offered = []
-        self._exact = None
+        self._offered = []  # p = 0: the offered (columns, integers) rows
+        self._reduced = None  # (rows, pivots) once taken
 
     @property
     def rank(self):
-        return len(self._exact[0] if self._exact else self._pivots)
+        return len(self._pivots if self._reduced is None else self._reduced[1])
 
     @property
     def rows(self):
@@ -126,17 +129,18 @@ class Echelon:
         return self.lift()[1]
 
     def lift(self, check=None):
-        """(rows, pivots), over Q certified; check() may raise between steps."""
-        if self.p:
-            return self._rows[:len(self._pivots)], self._pivots
-        if self._exact is None:
-            self._exact = self._certified_rref(check or (lambda: None))
-            self._offered, self._rows, self._pivots = None, None, {}
-        return self._exact
+        """The reduced form (rows, pivots), taken on the first call; check()
+        may raise between steps."""
+        if self._reduced is None:
+            pivots, free, table = self._certified_rref(check or (lambda: None))
+            self._reduced = (_rref_rows(pivots, free, table.tolist()),
+                             {c: i for i, c in enumerate(pivots)})
+            self._rows = self._pivots = self._offered = None
+        return self._reduced
 
-    def _reduce_mod(self, row, insert=False):
-        """The residual of a dense row mod q; with insert, store the row at its
-        first non-pivot nonzero instead: True, or False if it reduces to 0."""
+    def _reduce_mod(self, row):
+        """Reduce a dense row mod q by the streamed rows and store it at its
+        first non-pivot nonzero: True, or False if it reduces to 0."""
         q, n = self.q, self.ncols
         pos = 0
         while pos < n:
@@ -144,15 +148,12 @@ class Echelon:
                 pos += 1
                 continue
             piv = self._pivots.get(pos)
-            if piv is not None:
-                row = (row - np.multiply(self._rows[piv], int(row[pos]), dtype=np.int64)) % q
-            elif insert:
+            if piv is None:
                 k = self._pivots[pos] = len(self._pivots)
                 self._rows[k] = row * pow(int(row[pos]), -1, q) % q
                 return True
-            else:
-                pos += 1
-        return False if insert else row
+            row = (row - np.multiply(self._rows[piv], int(row[pos]), dtype=np.int64)) % q
+        return False
 
     def _rref_mod(self):
         """(pivots, free columns, table): the RREF mod q has 1 at pivots[i]
@@ -161,19 +162,21 @@ class Echelon:
         free = [c for c in range(self.ncols) if c not in self._pivots]
         order = np.array([self._pivots[c] for c in pivots], dtype=np.intp)
         table = self._rows[np.ix_(order, free)].astype(np.int64)
-        # back-substitution: clear pivot i out of the rows above it
-        for i in range(len(pivots) - 1, 0, -1):
+        # back-substitution: clear pivot i out of the rows above it (nothing
+        # to clear without free columns)
+        for i in range(len(pivots) - 1 if free else 0, 0, -1):
             column = self._rows[order[:i], pivots[i]].astype(np.int64)
             above = np.nonzero(column)[0]
             table[above] = (table[above] - np.outer(column[above], table[i])) % self.q
         return pivots, free, table
 
     def _certified_rref(self, check):
-        """The RREF over Q as (rows, pivots), by steps 1-4 above."""
+        """(pivots, free columns, table) of the RREF over the field: the RREF
+        mod q where it is exact (mod p, or at full rank), else steps 1-4."""
         check()
+        if self.p or len(self._pivots) == self.ncols:
+            return self._rref_mod()
         n = self.ncols
-        if len(self._pivots) == n:
-            return [((c,), (Fraction(1),)) for c in range(n)], dict(zip(range(n), range(n)))
         best = None  # [(-rank, pivots), modulus, RREF table mod the modulus]
         for q in _lift_primes():
             check()
@@ -200,9 +203,7 @@ class Echelon:
                 continue
             where = where.reshape(best[2].shape)
             if self._spans(pivots, free, fracs, where, check):
-                table = np.array(fracs, dtype=object)[where].tolist()
-                return _rref_rows(pivots, free, table, Fraction(1)), {
-                    c: i for i, c in enumerate(pivots)}
+                return pivots, free, np.array(fracs, dtype=object)[where]
 
     def _spans(self, pivots, free, fracs, where, check):
         """Is every offered row a the sum over pivots c of a[c] R_c?  Exact:
@@ -232,36 +233,27 @@ class Echelon:
         return row
 
     def add(self, coeffs):
-        """Insert a row {column: coefficient}; True if the rank mod q grew."""
+        """Insert a row {column: coefficient}; True if the rank mod q grew.
+        ValueError once the reduced form is taken."""
+        if self._reduced is not None:
+            raise ValueError("cannot add a row after the reduced form is taken")
         if not self.p:
-            if self._offered is None:
-                rows, self._exact, self._offered = self._exact[0], None, []
-                self._rows = np.empty((self.ncols, self.ncols), dtype=np.uint32)
-                for cols, vals in rows:
-                    self.add(dict(zip(cols, vals)))
             # kept as integers: times the common denominator of the row
             den = lcm(*(v.denominator for v in coeffs.values()))
             coeffs = {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()}
             self._offered.append((tuple(coeffs), tuple(coeffs.values())))
-        return self._reduce_mod(self.coerce(coeffs), insert=True)
-
-    def row_terms(self, row):
-        """A row (of rows, or a residual mod p) as {column: coefficient}."""
-        if self.p:
-            return {int(c): int(row[c]) for c in np.nonzero(row)[0]}
-        return dict(zip(*row))
+        return self._reduce_mod(self.coerce(coeffs))
 
     def residual(self, coeffs):
         """Exact residual of a vector as {column: field coefficient}."""
-        if self.p:
-            return self.row_terms(self._reduce_mod(self.coerce(coeffs)))
         rows, pivots = self.lift()
-        out = {c: coerce_coeff(v, 0) for c, v in coeffs.items() if v}
+        p = self.p
+        out = {c: x for c, v in coeffs.items() if (x := coerce_coeff(v, p))}
         # the rows are reduced: one pass over the vector's pivot columns
-        for c, v in coeffs.items():
-            if c in pivots and v:
-                cols, vals = rows[pivots[c]]
-                accumulate(zip(cols, [-v * x for x in vals]), 0, out)
+        for c in [c for c in out if c in pivots]:
+            v = out[c]
+            cols, vals = rows[pivots[c]]
+            accumulate(zip(cols, [-v * x for x in vals]), p, out)
         return out
 
     def contains(self, coeffs):
@@ -269,12 +261,7 @@ class Echelon:
 
     def rref_rows(self):
         """The RREF rows as {column: field coefficient}, by pivot column."""
-        if self.p:
-            pivots, free, table = self._rref_mod()
-            rows = _rref_rows(pivots, free, table.tolist(), 1)
-        else:
-            rows = self.lift()[0]
-        return [dict(zip(*row)) for row in rows]
+        return [dict(zip(*row)) for row in self.rows]
 
 
 class ComponentBasis:
@@ -297,9 +284,6 @@ class ComponentBasis:
     def quotient_dimension(self):
         return len(self.words) - self.rank
 
-    def pivot_words(self):
-        return [self.words[c] for c in sorted(self.echelon.pivots)]
-
     def nonpivot_columns(self):
         pivots = self.echelon.pivots
         return [c for c in range(len(self.words)) if c not in pivots]
@@ -314,9 +298,6 @@ class ComponentBasis:
         return FormalSum(
             {self.words[c]: v for c, v in coeffs.items()}, self.d, self.p
         )
-
-    def rows_as_sums(self):
-        return [self.sum_of(row) for row in self.echelon.rref_rows()]
 
 
 _cache = {}
@@ -377,7 +358,7 @@ def component_basis(n, d, p, delta, limits=None):
                 if full():
                     break
                 limits.check_deadline(delta)
-                terms = child.echelon.row_terms(row)
+                terms = dict(zip(*row))
                 left = {index[letter + child.words[c]]: v for c, v in terms.items()}
                 right = {index[child.words[c] + letter]: v for c, v in terms.items()}
                 ech.add(left)

@@ -248,7 +248,7 @@ def test_equiv_certificate_matches_oracle(clean_cache, case, p, order, data):
                                max_size=3, unique=True))
     f = FormalSum({w: data.draw(coeff) for w in words}, d, p)
     # an ideal element added on top often makes the group equivalent to zero
-    rows = basis.rows_as_sums()
+    rows = [basis.sum_of(row) for row in basis.echelon.rref_rows()]
     if rows and data.draw(st.booleans()):
         f = f + data.draw(st.sampled_from(rows)).scale(data.draw(coeff))
     ok, g = I.equiv_zero_certificate(n, p, f, order)
@@ -383,10 +383,21 @@ def test_echelon_fraction_coefficients_mod_p():
     # 1/2 is 4 mod 7; a denominator divisible by p has no residue
     ech = I.Echelon(2, 7)
     assert ech.add({0: Fraction(1, 2), 1: 1})
-    assert ech.contains({0: 4, 1: 1})
-    assert not ech.contains({0: 1, 1: 1})
     with pytest.raises(FieldError):
         ech.add({0: Fraction(1, 7), 1: 1})
+    assert ech.contains({0: 4, 1: 1})
+    assert not ech.contains({0: 1, 1: 1})
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_echelon_refuses_add_after_reduced_form(p):
+    ech = I.Echelon(2, p)
+    assert ech.add({0: 1, 1: 2})
+    rows = ech.rref_rows()
+    with pytest.raises(ValueError):
+        ech.add({1: 1})
+    assert ech.rref_rows() == rows == [{0: 1, 1: 2}]
+    assert ech.rank == 1
 
 
 _Q_ENTRIES = st.one_of(
@@ -397,27 +408,31 @@ _Q_ENTRIES = st.one_of(
 )
 
 
+def _residue(x, p):
+    """x in F_p (for a rational x, its numerator over its denominator), or
+    x as a Fraction for p = 0."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p if p else x
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+@given(st.sampled_from([0, 7]), st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.lists(st.lists(_Q_ENTRIES, min_size=n, max_size=n), max_size=7),
     st.lists(_Q_ENTRIES, min_size=n, max_size=n),
-    st.integers(0, 7),
 )))
-def test_q_echelon_matches_reference(case):
-    rows, target, split = case
-    ech = I.Echelon(len(target), 0)
-    # rows offered after a first lift join the certified rows
-    for r in rows[:split]:
+def test_q_echelon_matches_reference(p, case):
+    # the same checks over Q (the certified lift) and over F_7 (the reduced
+    # form by back-substitution, and its sparse residual)
+    rows, target = case
+    ech = I.Echelon(len(target), p)
+    for r in rows:
         ech.add(dict(enumerate(r)))
-    ech.rref_rows()
-    for r in rows[split:]:
-        ech.add(dict(enumerate(r)))
-    ref = _rref_reference(rows, 0)
+    ref = _rref_reference([[_residue(x, p) for x in r] for r in rows], p)
     expected = [{j: x for j, x in enumerate(r) if x} for r in ref]
     assert ech.rref_rows() == expected
     assert ech.rank == len(ref)
     assert sorted(ech.pivots) == [min(r) for r in expected]
-    resid = _residual_reference(ref, [Fraction(x) for x in target], 0)
+    resid = _residual_reference(ref, [_residue(x, p) for x in target], p)
     assert ech.residual(dict(enumerate(target))) == {
         j: x for j, x in enumerate(resid) if x
     }
@@ -497,13 +512,21 @@ def test_component_basis_counts():
     assert basis.quotient_dimension == 0
     b2 = I.component_basis(2, 2, 0, (1, 1))
     assert b2.quotient_dimension == 1
-    assert b2.nonpivot_words() and b2.pivot_words()
+    assert b2.nonpivot_words() and b2.echelon.pivots
 
 
-def test_rows_as_sums_are_members():
+def test_rref_rows_are_members():
     basis = I.component_basis(3, 2, 0, (2, 2))
-    for row in basis.rows_as_sums():
-        assert I.contains(3, 0, row)
+    for row in basis.echelon.rref_rows():
+        assert I.contains(3, 0, basis.sum_of(row))
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_cached_component_keeps_only_reduced_rows(clean_cache, p):
+    basis = I.component_basis(3, 2, p, (3, 2))
+    ech = basis.echelon
+    assert ech._rows is None and ech._offered is None
+    assert 0 < len(ech.rows) == basis.rank
 
 
 def test_cache_reuse():

@@ -112,6 +112,10 @@ def test_poly_integer_storage():
     assert a == b and hash(a) == hash(b)
     assert type(b.terms[e]) is int
     assert type(V.Poly({e: Fraction(3, 2)}, 3, 0).terms[e]) is Fraction
+    # negation, subtraction and an int scalar keep int coefficients
+    x, y = V.Poly.variable(0, 2, 0), V.Poly.variable(1, 2, 0)
+    for poly in (-x, x - y, x.scale(3), poly - poly.scale(2)):
+        assert poly.terms and all(type(c) is int for c in poly.terms.values())
     rng = random.Random(5)
     for _ in range(20):
         a = _random_poly(rng, 3, 0)

@@ -13,6 +13,6 @@ from .ideal import (
     reduce,
     substitute_unit,
 )
-from .polarize import ideal_instances, t_theta
+from .polarize import t_theta
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ that invariants.Poly keeps an integral coefficient as int) or the prime
 field F_p (coefficients stored as ints in 1..p-1).  Zero coefficients are
 never stored.  A prime must be at most MAX_PRIME = 3 037 000 499, so
 that the product of two residues always fits the int64 arithmetic of the
-mod-p elimination kernel (which stores residues in 32 bits).  check_characteristic remembers every accepted
+mod-p elimination kernel.  check_characteristic remembers every accepted
 characteristic, so the trial division runs once per prime, not once per sum.
 
 accumulate is the one loop that adds coefficients into a sparse dict,

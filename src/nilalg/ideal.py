@@ -4,12 +4,14 @@ Each multidegree component of the relation ideal is the row space of the
 bordered polarization instances of that multidegree.  Components are built
 recursively: the component at delta is spanned by letter-multiples of the
 components one degree down plus the unbordered instances of multidegree
-exactly delta.  Rows are reduced by one kernel (Echelon): an int64 echelon
-mod p, which for p = 0 runs mod LIFT_PRIME and is lifted to Q by rational
-reconstruction, certified by an exact check (multimodular echelon form,
-W. Stein, Modular Forms: A Computational Approach, AMS 2007, ch. 7).  In
-both fields a component caches one reduced form, the sparse RREF, and
-refuses rows added after it; parents, residuals and normal forms all read it.
+exactly delta.  Rows are reduced by one kernel (Echelon): the RREF mod p,
+kept live as an int64 table of rank x free columns that reduces each new row
+by one product; for p = 0 it runs mod LIFT_PRIME and is lifted to Q by
+rational reconstruction, certified by an exact check (multimodular echelon
+form, W. Stein, Modular Forms: A Computational Approach, AMS 2007, ch. 7; the
+table follows Faugere-Lachartre, PASCO 2010).  In both fields a component
+caches one reduced form, the sparse RREF, and refuses rows added after it;
+parents, residuals and normal forms all read it.
 """
 
 import time
@@ -77,20 +79,26 @@ def _rational(a, m):
 def _rref_rows(pivots, free, table):
     """RREF rows as (columns, coefficients): 1 at pivots[i], and table[i][j]
     at free[j] where it is nonzero."""
-    return [tuple(zip((c, 1), *((j, x) for j, x in zip(free, row) if x)))
+    return [tuple(zip((c, 1), *((j, x) for j, x in zip(free, row.tolist()) if x)))
             for c, row in zip(pivots, table)]
 
 
 class Echelon:
-    """Streaming row echelon over F_p or Q, read through one reduced form.
+    """Row echelon over F_p or Q, kept as the live RREF mod q, read through
+    one reduced form.
 
-    Rows stream into an echelon mod q, the prime p or, for p = 0, LIFT_PRIME
-    (32-bit residues, int64 arithmetic); add() says whether the rank mod q
-    grew, and rank is that rank until the reduced form is taken.  Over Q the
-    offered rows are also kept, scaled to integers.  The first read of rows,
-    pivots, rref_rows or residual takes the reduced form, the sparse RREF
-    rows ((pivot, free columns...), (1, entries...)), in both fields.  Mod p
-    it is the RREF mod p by back-substitution; over Q it is certified:
+    q is the prime p or, for p = 0, LIFT_PRIME.  The RREF mod q of the rows
+    added so far is held as an int64 table of rank x free columns: row i has
+    1 at _pivots[i] and table[i] at the ascending _free columns.  add() gathers
+    the table rows at the new row's pivot entries a and subtracts their
+    combination a @ table in one exact product; a row that does not vanish
+    becomes a pivot at its first nonzero free column, by one rank-1 update of
+    the table and one column drop.  add() says whether the rank mod q grew,
+    and rank is that rank until the reduced form is taken.  Over Q the offered
+    rows are also kept, scaled to integers.  The first read of rows, pivots,
+    rref_rows or residual takes the reduced form, the sparse RREF rows
+    ((pivot, free columns...), (1, entries...)), in both fields.  Mod p it is
+    the table; over Q it is certified:
     1. take the RREF mod LIFT_PRIME;
     2. rationally reconstruct its entries, giving rows R;
     3. check exactly, in integers, that every offered row a equals the sum
@@ -101,17 +109,23 @@ class Echelon:
        rank, then earliest pivots) and retry 2 and 3.
     A full rank mod LIFT_PRIME forces a full rank over Q: the RREF is the
     identity and nothing is reconstructed.  Taking the reduced form drops the
-    streamed and the offered rows, and add() is refused after it.
+    table and the offered rows, and add() is refused after it.
     """
 
     def __init__(self, ncols, p):
         self.ncols = ncols
         self.p = p
-        self.q = p or LIFT_PRIME
-        # streamed rows mod q (< 2**32), 1 at the pivot and 0 before; one
-        # buffer, of which only the rows written take up memory
-        self._rows = np.empty((ncols, ncols), dtype=np.uint32)
-        self._pivots = {}  # column -> index into _rows
+        self.q = q = p or LIFT_PRIME
+        self._pivots = []  # pivot columns, in the order of the table rows
+        self._free = np.arange(ncols)
+        self._slot = np.full(ncols, -1)  # column -> table row, -1 if free
+        self._table = np.zeros((0, ncols), dtype=np.int64)
+        # a @ t is exact in int64 while sum_i a_i t_i < 2**63.  a_i < q, and
+        # t_i < q, or t_i < 2**16 once t is split into 16-bit limbs (for q
+        # above 2**16); a sum of more than _terms terms is taken in chunks
+        # (46 341 terms at MAX_PRIME, 65 537 at LIFT_PRIME)
+        self._limbs = q > 1 << 16
+        self._terms = (2**63 - 1) // ((q - 1) * (min(q, 1 << 16) - 1))
         self._offered = []  # p = 0: the offered (columns, integers) rows
         self._reduced = None  # (rows, pivots) once taken
 
@@ -133,42 +147,27 @@ class Echelon:
         may raise between steps."""
         if self._reduced is None:
             pivots, free, table = self._certified_rref(check or (lambda: None))
-            self._reduced = (_rref_rows(pivots, free, table.tolist()),
+            self._reduced = (_rref_rows(pivots, free, table),
                              {c: i for i, c in enumerate(pivots)})
-            self._rows = self._pivots = self._offered = None
+            self._pivots = self._free = self._slot = self._table = self._offered = None
         return self._reduced
 
-    def _reduce_mod(self, row):
-        """Reduce a dense row mod q by the streamed rows and store it at its
-        first non-pivot nonzero: True, or False if it reduces to 0."""
-        q, n = self.q, self.ncols
-        pos = 0
-        while pos < n:
-            if row[pos] == 0:
-                pos += 1
-                continue
-            piv = self._pivots.get(pos)
-            if piv is None:
-                k = self._pivots[pos] = len(self._pivots)
-                self._rows[k] = row * pow(int(row[pos]), -1, q) % q
-                return True
-            row = (row - np.multiply(self._rows[piv], int(row[pos]), dtype=np.int64)) % q
-        return False
+    def _combination(self, slots, a):
+        """sum_i a[i] table[slots[i]] mod q, exact in int64."""
+        q, step, out = self.q, self._terms, 0
+        for s in range(0, len(a), step):
+            t, x = self._table[slots[s:s + step]], a[s:s + step]
+            if self._limbs:
+                out += ((x @ (t >> 16)) % q << 16) + (x @ (t & 0xFFFF)) % q
+            else:
+                out += x @ t % q
+        return out % q
 
     def _rref_mod(self):
         """(pivots, free columns, table): the RREF mod q has 1 at pivots[i]
         and table[i] in the free columns."""
-        pivots = sorted(self._pivots)
-        free = [c for c in range(self.ncols) if c not in self._pivots]
-        order = np.array([self._pivots[c] for c in pivots], dtype=np.intp)
-        table = self._rows[np.ix_(order, free)].astype(np.int64)
-        # back-substitution: clear pivot i out of the rows above it (nothing
-        # to clear without free columns)
-        for i in range(len(pivots) - 1 if free else 0, 0, -1):
-            column = self._rows[order[:i], pivots[i]].astype(np.int64)
-            above = np.nonzero(column)[0]
-            table[above] = (table[above] - np.outer(column[above], table[i])) % self.q
-        return pivots, free, table
+        order = np.argsort(self._pivots)
+        return [self._pivots[i] for i in order], self._free.tolist(), self._table[order]
 
     def _certified_rref(self, check):
         """(pivots, free columns, table) of the RREF over the field: the RREF
@@ -215,7 +214,7 @@ class Echelon:
         bound = top * max(den, len(pivots) * max(map(abs, scaled), default=0))
         dtype = np.int64 if bound < 2**63 else object
         scaled = np.array(scaled, dtype=dtype)[where]
-        step = max(1, 2**16 // max(1, self.ncols))
+        step = max(1, 2**14 // max(1, self.ncols))
         for start in range(0, len(self._offered), step):
             check()
             block = np.zeros((min(step, len(self._offered) - start), self.ncols), dtype)
@@ -225,16 +224,10 @@ class Echelon:
                 return False
         return True
 
-    def coerce(self, coeffs):
-        """Dense row mod q; FieldError if a denominator is divisible by q."""
-        row = np.zeros(self.ncols, dtype=np.int64)
-        q = self.q
-        row[list(coeffs)] = [v % q if type(v) is int else coerce_coeff(v, q) for v in coeffs.values()]
-        return row
-
     def add(self, coeffs):
         """Insert a row {column: coefficient}; True if the rank mod q grew.
-        ValueError once the reduced form is taken."""
+        FieldError if a denominator is divisible by q; ValueError once the
+        reduced form is taken."""
         if self._reduced is not None:
             raise ValueError("cannot add a row after the reduced form is taken")
         if not self.p:
@@ -242,7 +235,30 @@ class Echelon:
             den = lcm(*(v.denominator for v in coeffs.values()))
             coeffs = {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()}
             self._offered.append((tuple(coeffs), tuple(coeffs.values())))
-        return self._reduce_mod(self.coerce(coeffs))
+        q = self.q
+        cols = np.fromiter(coeffs, dtype=np.intp, count=len(coeffs))
+        vals = np.array([v % q if type(v) is int else coerce_coeff(v, q)
+                         for v in coeffs.values()], dtype=np.int64)
+        slots = self._slot[cols]
+        at = slots >= 0
+        row = np.zeros(len(self._free), dtype=np.int64)
+        row[np.searchsorted(self._free, cols[~at])] = vals[~at]
+        if at.any():
+            row = (row - self._combination(slots[at], vals[at])) % q
+        nonzero = np.flatnonzero(row)
+        if not len(nonzero):
+            return False
+        j = nonzero[0]
+        row = row * pow(int(row[j]), -1, q) % q
+        # clear the new pivot's column out of the table, then drop it
+        column = self._table[:, j]
+        hit = np.flatnonzero(column)
+        self._table[hit] = (self._table[hit] - np.outer(column[hit], row)) % q
+        self._table = np.delete(np.vstack([self._table, row]), j, axis=1)
+        self._slot[self._free[j]] = len(self._pivots)
+        self._pivots.append(int(self._free[j]))
+        self._free = np.delete(self._free, j)
+        return True
 
     def residual(self, coeffs):
         """Exact residual of a vector as {column: field coefficient}."""

@@ -8,11 +8,11 @@ corresponding graded component of the relation ideal of the nil algebra.
 bare_instances enumerates the unbordered instances at exact multidegree:
 a branch of the (theta_i, a_i) search is cut as soon as the letters left
 cannot give every later slot a letter, and the last pair's argument
-multidegree is budget/theta_i.  ideal_instances keeps the plain enumeration
-of every pair multiset within the budget and serves as the reference the
-tests compare against.  The arrangements of each theta and the candidate
-arguments of each (budget, theta_i, spare slots) are computed once per
-process.
+multidegree is budget/theta_i.  The arrangements of each theta and the
+candidate arguments of each (budget, theta_i, spare slots) are computed once
+per process.  The component builder borders these instances by letters
+recursively; the tests check its span against the plain enumeration of all
+bordered instances.
 """
 
 from functools import lru_cache
@@ -89,32 +89,6 @@ def _sub_multidegrees(budget, scale):
     return out
 
 
-def _pairs_within(n, budget):
-    """Multisets of (theta_i, a_i) pairs with sum(theta)=n, sum theta_i*mdeg(a_i) <= budget.
-
-    Pairs are emitted as sorted tuples, which deduplicates instances up to
-    simultaneous permutation of the pairs.
-    """
-    d = len(budget)
-
-    def rec(n_left, budget_left, min_pair, acc):
-        if n_left == 0:
-            yield list(acc)
-            return
-        for theta_i in range(1, n_left + 1):
-            for mu in _sub_multidegrees(budget_left, theta_i):
-                for a in W.enumerate_words(mu):
-                    pair = (theta_i, a)
-                    if pair < min_pair:
-                        continue
-                    new_budget = tuple(
-                        b - theta_i * m for b, m in zip(budget_left, W.multidegree(a, d))
-                    )
-                    yield from rec(n_left - theta_i, new_budget, pair, acc + [pair])
-
-    yield from rec(n, tuple(budget), (0, ()), [])
-
-
 @lru_cache(maxsize=None)
 def _arguments(budget, theta_i, spare):
     """(mu, words of multidegree mu) for the a_i that can still finish a multiset.
@@ -138,11 +112,12 @@ def _arguments(budget, theta_i, spare):
 
 
 def _pair_multisets(n, budget):
-    """The multisets of _pairs_within(n, budget) that use the budget exactly.
+    """The multisets of (theta_i, a_i) pairs, sorted and so deduplicated up
+    to permutation, with sum(theta) = n and sum theta_i * mdeg(a_i) = budget.
 
-    Same multisets in the same order, without visiting the branches that
-    cannot close the budget: later pairs have theta_j >= theta_i, and every
-    later slot needs at least one letter.
+    The search does not visit the branches that cannot close the budget:
+    later pairs have theta_j >= theta_i, and every later slot needs at least
+    one letter.
     """
 
     def rec(n_left, budget_left, min_pair, acc):
@@ -175,35 +150,3 @@ def bare_instances(n, delta, p=0):
         f = t_theta(n, [t for t, _ in pairs], [a for _, a in pairs], p=p, d=d)
         if not f.is_zero():
             yield f
-
-
-def ideal_instances(n, delta, p=0):
-    """All bordered instances u * t_theta(...) * v of multidegree delta.
-
-    u, v may be empty; the a_i are nonempty words.  The stream is finite,
-    deterministic, deduplicated up to simultaneous permutation of the
-    (theta_i, a_i) pairs, and omits instances that vanish over the field.
-    """
-    d = len(delta)
-    if sum(delta) < n:
-        return
-    for pairs in _pairs_within(n, delta):
-        used = [0] * d
-        for theta_i, a in pairs:
-            for k, e in enumerate(W.multidegree(a, d)):
-                used[k] += theta_i * e
-        rem = tuple(b - u for b, u in zip(delta, used))
-        core = t_theta(n, [t for t, _ in pairs], [a for _, a in pairs], p=p, d=d)
-        if core.is_zero():
-            continue
-        for mu_u in sorted(
-            set(_sub_multidegrees(rem, 1)) | {tuple([0] * d)}
-        ):
-            mu_v = tuple(r - u for r, u in zip(rem, mu_u))
-            us = [()] if not any(mu_u) else W.enumerate_words(mu_u)
-            vs = [()] if not any(mu_v) else W.enumerate_words(mu_v)
-            for u in us:
-                for v in vs:
-                    g = core.map_words(lambda w: u + w + v)
-                    if not g.is_zero():
-                        yield g

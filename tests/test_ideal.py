@@ -379,6 +379,44 @@ def test_echelon_exact_at_largest_prime():
     assert ech.rref_rows() == [{j: v for j, v in enumerate(r) if v} for r in ref]
 
 
+# the largest prime the kernel accepts (formal.MAX_PRIME is 3 037 000 499)
+_LARGEST_PRIME = 3_037_000_493
+
+
+def test_echelon_limb_bound():
+    # _terms is the longest sum of residue-times-limb products that fits an
+    # int64: one more term could leave it
+    for q in (2, 7, 65_537, I.LIFT_PRIME, _LARGEST_PRIME):
+        terms = I.Echelon(1, q)._terms
+        limb = min(q, 2**16) - 1
+        assert terms * (q - 1) * limb < 2**63 <= (terms + 1) * (q - 1) * limb
+    assert I.Echelon(1, _LARGEST_PRIME)._terms == 46_341
+
+
+@pytest.mark.parametrize("terms", [None, 7])
+def test_echelon_limb_product_exact_at_largest_prime(terms):
+    # hundreds of pivot entries, all p - 1, against table entries close to p:
+    # one such product is near 2**63, so the gather must split the table into
+    # limbs (and, with _terms lowered, sum in chunks) to stay exact
+    p, m, f = _LARGEST_PRIME, 300, 4
+    rng = random.Random(11)
+    table = [[rng.randrange(p - 1000, p) for _ in range(f)] for _ in range(m)]
+    ech = I.Echelon(m + f, p)
+    if terms:
+        ech._terms = terms
+    for i, t in enumerate(table):
+        assert ech.add({i: 1, **{m + j: x for j, x in enumerate(t)}})
+    # the member sum (p - 1) * row_i, its free entries in Python integers
+    row = {i: p - 1 for i in range(m)}
+    row.update({m + j: sum((p - 1) * t[j] for t in table) % p for j in range(f)})
+    assert not ech.add(row)
+    row[m + 2] += 1
+    assert ech.add(row)
+    assert ech.rref_rows() == [
+        {i: 1, **{m + j: x for j, x in enumerate(t) if j != 2}} for i, t in enumerate(table)
+    ] + [{m + 2: 1}]
+
+
 def test_echelon_fraction_coefficients_mod_p():
     # 1/2 is 4 mod 7; a denominator divisible by p has no residue
     ech = I.Echelon(2, 7)
@@ -405,6 +443,8 @@ _Q_ENTRIES = st.one_of(
     st.fractions(-3, 3, max_denominator=4),
     # entries that vanish or equal 1 mod the lift prime make it a bad prime
     st.sampled_from([I.LIFT_PRIME, I.LIFT_PRIME + 1]),
+    # residues close to the largest prime: the limb product's worst case
+    st.integers(_LARGEST_PRIME - 3, _LARGEST_PRIME - 1),
 )
 
 
@@ -416,17 +456,17 @@ def _residue(x, p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([0, 7]), st.integers(1, 6).flatmap(lambda n: st.tuples(
+@given(st.sampled_from([0, 7, _LARGEST_PRIME]), st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.lists(st.lists(_Q_ENTRIES, min_size=n, max_size=n), max_size=7),
     st.lists(_Q_ENTRIES, min_size=n, max_size=n),
-)))
-def test_q_echelon_matches_reference(p, case):
-    # the same checks over Q (the certified lift) and over F_7 (the reduced
-    # form by back-substitution, and its sparse residual)
+)), st.randoms(use_true_random=False))
+def test_q_echelon_matches_reference(p, case, rng):
+    # the same checks over Q (the certified lift) and over F_p (the live
+    # table, and its sparse residual); the rows fed again in shuffled order,
+    # each with its columns shuffled, give the same reduced form
     rows, target = case
     ech = I.Echelon(len(target), p)
-    for r in rows:
-        ech.add(dict(enumerate(r)))
+    grew = sum(ech.add(dict(enumerate(r))) for r in rows)
     ref = _rref_reference([[_residue(x, p) for x in r] for r in rows], p)
     expected = [{j: x for j, x in enumerate(r) if x} for r in ref]
     assert ech.rref_rows() == expected
@@ -437,6 +477,13 @@ def test_q_echelon_matches_reference(p, case):
         j: x for j, x in enumerate(resid) if x
     }
     assert ech.contains(dict(enumerate(target))) == (not any(resid))
+    shuffled = I.Echelon(len(target), p)
+    rows = [list(enumerate(r)) for r in rows]
+    rng.shuffle(rows)
+    for r in rows:
+        rng.shuffle(r)
+    assert sum(shuffled.add(dict(r)) for r in rows) == grew
+    assert shuffled.rref_rows() == expected
 
 
 def _record_lift_primes(monkeypatch):
@@ -525,7 +572,7 @@ def test_rref_rows_are_members():
 def test_cached_component_keeps_only_reduced_rows(clean_cache, p):
     basis = I.component_basis(3, 2, p, (3, 2))
     ech = basis.echelon
-    assert ech._rows is None and ech._offered is None
+    assert ech._table is None and ech._offered is None
     assert 0 < len(ech.rows) == basis.rank
 
 

@@ -382,9 +382,9 @@ def component_basis(n, d, p, delta, limits=None):
                     ech.add(right)
         # unbordered polarization instances at exactly delta
         if not full():
-            for f in bare_instances(n, delta, p):
+            for row in bare_instances(n, delta, p, ws):
                 limits.check_deadline(delta)
-                ech.add({index[w]: c for w, c in f.terms.items()})
+                ech.add(row)
                 if full():
                     break
 
@@ -453,18 +453,18 @@ def substitute_unit(f, k, require_hypothesis=True):
 
 
 def _sorted_multidegrees(total, d):
-    """Weakly decreasing multidegree vectors of the given total degree."""
+    """Weakly decreasing multidegree vectors of the given total degree,
+    largest first part first, found depth first on an explicit stack."""
     out = []
-
-    def rec(left, maxpart, acc):
+    stack = [(total, total, ())]  # (degree left, largest part allowed, parts)
+    while stack:
+        left, maxpart, acc = stack.pop()
         if len(acc) == d:
             if left == 0:
-                out.append(tuple(acc))
-            return
-        for e in range(min(left, maxpart), -1, -1):
-            rec(left - e, e, acc + [e])
-
-    rec(total, total, [])
+                out.append(acc)
+            continue
+        # pushed ascending, so popped with the largest next part first
+        stack.extend((left - e, e, acc + (e,)) for e in range(min(left, maxpart) + 1))
     return out
 
 

@@ -5,17 +5,21 @@ copies of a_1, ..., theta_r copies of a_r into a product of n factors.  The
 bordered instances u * t_theta(...) * v of fixed multidegree span the
 corresponding graded component of the relation ideal of the nil algebra.
 
-bare_instances enumerates the unbordered instances at exact multidegree:
-a branch of the (theta_i, a_i) search is cut as soon as the letters left
-cannot give every later slot a letter, and the last pair's argument
-multidegree is budget/theta_i.  The arrangements of each theta and the
-candidate arguments of each (budget, theta_i, spare slots) are computed once
-per process.  The component builder borders these instances by letters
-recursively; the tests check its span against the plain enumeration of all
-bordered instances.
+bare_instances enumerates the unbordered instances at exact multidegree,
+cutting a branch of the (theta_i, a_i) search once the letters left cannot
+give every later slot a letter.  Argument words are pairwise distinct: over
+Z, pairs (theta_i, a), (theta_j, a) give binom(theta_i + theta_j, theta_i)
+times the instance with the one pair (theta_i + theta_j, a), so merging ends
+in a generated multiset and no span changes at any p.  Rows {column:
+coefficient} are emitted directly: an argument word is an integer of
+(d-1).bit_length() bits per letter, an arrangement's word is shifts and ors
+of these, and one dict gives its column.  The component builder borders the
+instances by letters recursively; the tests check its span against the plain
+enumeration of all bordered instances.
 """
 
 from functools import lru_cache
+from itertools import product
 
 from . import words as W
 from .formal import FormalSum, accumulate
@@ -23,26 +27,22 @@ from .formal import FormalSum, accumulate
 
 @lru_cache(maxsize=None)
 def _arrangements(counts):
-    """Distinct sequences using counts[i] copies of symbol i, as a tuple."""
-    total = sum(counts)
-    seq = []
-    counts = list(counts)
-    out = []
-
-    def rec():
-        if len(seq) == total:
-            out.append(tuple(seq))
-            return
-        for i, c in enumerate(counts):
-            if c:
-                counts[i] -= 1
-                seq.append(i)
-                rec()
-                seq.pop()
-                counts[i] += 1
-
-    rec()
-    return tuple(out)
+    """Distinct sequences using counts[i] copies of symbol i, as a tuple in
+    lexicographic order: each is the next permutation of the one before."""
+    seq = [i for i, c in enumerate(counts) for _ in range(c)]
+    out = [tuple(seq)]
+    while True:
+        k = len(seq) - 2
+        while k >= 0 and seq[k] >= seq[k + 1]:
+            k -= 1
+        if k < 0:
+            return tuple(out)
+        j = len(seq) - 1
+        while seq[j] <= seq[k]:
+            j -= 1
+        seq[k], seq[j] = seq[j], seq[k]
+        seq[k + 1:] = reversed(seq[k + 1:])
+        out.append(tuple(seq))
 
 
 def t_theta(n, theta, args, p=0, d=None):
@@ -74,24 +74,13 @@ def t_theta(n, theta, args, p=0, d=None):
 def _sub_multidegrees(budget, scale):
     """All nonzero mu with scale*mu <= budget componentwise, ascending."""
     ranges = [range(0, b // scale + 1) for b in budget]
-    out = []
-
-    def rec(i, acc):
-        if i == len(ranges):
-            if any(acc):
-                out.append(tuple(acc))
-            return
-        for e in ranges[i]:
-            rec(i + 1, acc + [e])
-
-    rec(0, [])
-    out.sort()
-    return out
+    return [mu for mu in product(*ranges) if any(mu)]
 
 
 @lru_cache(maxsize=None)
 def _arguments(budget, theta_i, spare):
-    """(mu, words of multidegree mu) for the a_i that can still finish a multiset.
+    """(budget left, words of mu) for the a_i of multidegree mu that can
+    still finish a multiset.
 
     mu runs ascending over the nonzero multidegrees with theta_i * mu <=
     budget.  With spare == 0 slots left, only mu = budget / theta_i closes
@@ -102,51 +91,77 @@ def _arguments(budget, theta_i, spare):
         if any(b % theta_i for b in budget) or not any(budget):
             return ()
         mu = tuple(b // theta_i for b in budget)
-        return ((mu, tuple(W.enumerate_words(mu))),)
+        return (((0,) * len(budget), tuple(W.enumerate_words(mu))),)
     total = sum(budget)
     return tuple(
-        (mu, tuple(W.enumerate_words(mu)))
+        (tuple(b - theta_i * m for b, m in zip(budget, mu)), tuple(W.enumerate_words(mu)))
         for mu in _sub_multidegrees(budget, theta_i)
         if total - theta_i * sum(mu) >= spare
     )
 
 
+def _extensions(n_left, budget_left, last, acc):
+    """(slots left, budget left, pair, acc + (pair,)) for each next pair."""
+    used = {a for _, a in acc}
+    for theta_i in range(max(last[0], 1), n_left + 1):
+        spare = n_left - theta_i
+        if 0 < spare < theta_i:
+            continue
+        for left, words in _arguments(budget_left, theta_i, spare):
+            for a in words:
+                pair = (theta_i, a)
+                if pair > last and a not in used:
+                    yield spare, left, pair, acc + (pair,)
+
+
 def _pair_multisets(n, budget):
-    """The multisets of (theta_i, a_i) pairs, sorted and so deduplicated up
-    to permutation, with sum(theta) = n and sum theta_i * mdeg(a_i) = budget.
+    """The multisets of (theta_i, a_i) pairs with pairwise distinct a_i,
+    sorted and so deduplicated up to permutation, with sum(theta) = n and
+    sum theta_i * mdeg(a_i) = budget, as tuples.
 
     The search does not visit the branches that cannot close the budget:
     later pairs have theta_j >= theta_i, and every later slot needs at least
-    one letter.
+    one letter.  It runs depth first on an explicit stack of extension
+    generators, so no generator refers to itself.
     """
-
-    def rec(n_left, budget_left, min_pair, acc):
-        if n_left == 0:
-            yield acc
-            return
-        for theta_i in range(max(min_pair[0], 1), n_left + 1):
-            spare = n_left - theta_i
-            if 0 < spare < theta_i:
-                continue
-            for mu, words in _arguments(budget_left, theta_i, spare):
-                new_budget = tuple(b - theta_i * m for b, m in zip(budget_left, mu))
-                for a in words:
-                    pair = (theta_i, a)
-                    if pair < min_pair:
-                        continue
-                    yield from rec(spare, new_budget, pair, acc + [pair])
-
-    yield from rec(n, tuple(budget), (0, ()), [])
+    stack = [_extensions(n, tuple(budget), (0, ()), ())]
+    while stack:
+        for n_left, left, pair, acc in stack[-1]:
+            if n_left == 0:
+                yield acc
+            else:
+                stack.append(_extensions(n_left, left, pair, acc))
+                break
+        else:
+            stack.pop()
 
 
-def bare_instances(n, delta, p=0):
-    """Unbordered polarization instances of multidegree exactly delta.
+def _code(w, bits):
+    """The word w as an integer: letter k as k - 1 in bits bits, first
+    letter highest, so that a concatenation is a shift and an or."""
+    c = 0
+    for letter in w:
+        c = c << bits | letter - 1
+    return c
 
-    Yields every nonzero t_theta(n, theta, args) with sum of theta_i *
-    mdeg(a_i) equal to delta, deduplicated up to pair permutation.
-    """
-    d = len(delta)
+
+def bare_instances(n, delta, p, words):
+    """The nonzero t_theta(n, theta, args) with distinct args and sum of
+    theta_i * mdeg(a_i) equal to delta, up to pair permutation, as rows
+    {column: coefficient} over words; columns in order of first arising."""
+    bits = (len(delta) - 1).bit_length()
+    column = {_code(w, bits): i for i, w in enumerate(words)}
     for pairs in _pair_multisets(n, delta):
-        f = t_theta(n, [t for t, _ in pairs], [a for _, a in pairs], p=p, d=d)
-        if not f.is_zero():
-            yield f
+        codes = [_code(a, bits) for _, a in pairs]
+        shifts = [bits * len(a) for _, a in pairs]
+        row = {}
+        for s in _arrangements(tuple(t for t, _ in pairs)):
+            c = 0
+            for i in s:
+                c = c << shifts[i] | codes[i]
+            j = column[c]
+            row[j] = row.get(j, 0) + 1
+        if p:
+            row = {j: v % p for j, v in row.items() if v % p}
+        if row:
+            yield row

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import time
@@ -574,6 +575,21 @@ def test_cached_component_keeps_only_reduced_rows(clean_cache, p):
     ech = basis.echelon
     assert ech._table is None and ech._offered is None
     assert 0 < len(ech.rows) == basis.rank
+
+
+def test_component_builds_leave_no_cyclic_garbage(clean_cache):
+    for p in (0, 3):  # warm the enumeration caches
+        I.clear_cache()
+        I.nilpotency_degree(4, 2, p, 11)
+    gc.collect()
+    gc.disable()
+    try:
+        for p in (0, 3):
+            I.clear_cache()
+            I.nilpotency_degree(4, 2, p, 11)
+            assert gc.collect() == 0, p
+    finally:
+        gc.enable()
 
 
 def test_cache_reuse():

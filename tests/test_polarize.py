@@ -129,10 +129,13 @@ def test_theta_validation():
 
 
 def test_bare_instances_multidegree():
-    fs = list(P.bare_instances(2, (2, 1), p=0))
-    assert fs
-    for f in fs:
-        assert not f.is_zero()
+    # rows index the given word list, in its order, whatever that order is
+    words = W.enumerate_words((2, 1))[::-1]
+    rows = list(P.bare_instances(2, (2, 1), 0, words))
+    assert rows
+    for row in rows:
+        assert row and all(row.values())
+        f = FormalSum({words[c]: v for c, v in row.items()}, 2, 0)
         assert f.multidegrees() == {(2, 1)}
 
 
@@ -163,6 +166,13 @@ def span_rank(sums, words):
     (3, (3, 1), 5),
     (2, (1, 1, 1), 2),
     (3, (2, 1, 1), 0),
+    # binomials vanish mod p: some instances with a repeated argument word
+    # are zero here, and skipping them all must not lose the span
+    (4, (3, 2), 2),
+    (4, (4, 2), 2),
+    (4, (3, 3), 3),
+    (3, (2, 2, 1), 2),
+    (4, (2, 2, 1), 3),
 ])
 def test_recursive_span_equals_bordered_span(n, delta, p):
     # the component basis built by the letter-border recursion spans exactly
@@ -177,14 +187,20 @@ def test_recursive_span_equals_bordered_span(n, delta, p):
 
 
 def _exact_subset_of_within(n, delta, p):
-    """The nonzero instances of the <=-budget pair multisets that use delta exactly."""
+    """The nonzero instances of the <=-budget pair multisets with distinct
+    argument words that use delta exactly, as (word, coefficient) lists: the
+    polarization over Z, in its word order, reduced mod p."""
     d = len(delta)
     for pairs in _pairs_within(n, delta):
         used = tuple(sum(t * W.multidegree(a, d)[k] for t, a in pairs) for k in range(d))
-        if used == tuple(delta):
-            f = P.t_theta(n, [t for t, _ in pairs], [a for _, a in pairs], p=p, d=d)
-            if not f.is_zero():
-                yield f
+        if used == tuple(delta) and len({a for _, a in pairs}) == len(pairs):
+            args = ([t for t, _ in pairs], [a for _, a in pairs])
+            terms = [(w, c % p if p else c)
+                     for w, c in P.t_theta(n, *args, p=0, d=d).terms.items()]
+            terms = [(w, c) for w, c in terms if c]
+            assert dict(terms) == P.t_theta(n, *args, p=p, d=d).terms
+            if terms:
+                yield terms
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
@@ -196,9 +212,52 @@ def test_bare_instances_equal_exact_subset_in_order(n, d, p):
     top = n + (3 if d == 2 else 1)
     for total in range(1, top + 1):
         for delta in I._sorted_multidegrees(total, d):
-            got = [list(f.terms.items()) for f in P.bare_instances(n, delta, p)]
-            want = [list(f.terms.items()) for f in _exact_subset_of_within(n, delta, p)]
+            words = W.enumerate_words(delta)
+            got = [[(words[c], v) for c, v in row.items()]
+                   for row in P.bare_instances(n, delta, p, words)]
+            want = list(_exact_subset_of_within(n, delta, p))
             assert got == want, (n, delta, p)
+
+
+def _merge_first_repeat(pairs):
+    """(merged pairs, binomial) for the first argument word held by two
+    pairs (theta_i, a), (theta_j, a), or None if the words are distinct."""
+    for i, (ti, a) in enumerate(pairs):
+        for j in range(i + 1, len(pairs)):
+            tj, b = pairs[j]
+            if a == b:
+                rest = pairs[:i] + pairs[i + 1:j] + pairs[j + 1:]
+                return tuple(sorted(rest + ((ti + tj, a),))), math.comb(ti + tj, ti)
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_repeated_argument_is_binomial_multiple_of_merged(n, d):
+    # over Z, T_theta with one word in pairs (theta_i, a) and (theta_j, a) is
+    # binom(theta_i + theta_j, theta_i) times the instance with the merged
+    # pair (theta_i + theta_j, a); merging until the words are distinct ends
+    # in a multiset the pruned search yields, so pruning keeps every span
+    top = n + (2 if d == 2 else 1)
+    repeats = 0
+    for total in range(n, top + 1):
+        for delta in I._sorted_multidegrees(total, d):
+            stream = set(P._pair_multisets(n, delta))
+            for pairs in _pairs_within(n, delta):
+                used = tuple(sum(t * W.multidegree(a, d)[k] for t, a in pairs)
+                             for k in range(d))
+                pairs = tuple(pairs)
+                if used != delta or len({a for _, a in pairs}) == len(pairs):
+                    continue
+                repeats += 1
+                while (step := _merge_first_repeat(pairs)) is not None:
+                    merged, binom = step
+                    f = P.t_theta(n, *zip(*pairs), p=0, d=d)
+                    g = P.t_theta(n, *zip(*merged), p=0, d=d)
+                    assert f == g.scale(binom), (pairs, merged)
+                    pairs = merged
+                assert pairs in stream, (n, delta, pairs)
+    assert repeats
 
 
 def test_arrangement_count_distinct_args():

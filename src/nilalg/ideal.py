@@ -96,7 +96,7 @@ class Echelon:
     the table and one column drop.  add() says whether the rank mod q grew,
     and rank is that rank until the reduced form is taken.  Over Q the offered
     rows are also kept, scaled to integers.  The first read of rows, pivots,
-    rref_rows or residual takes the reduced form, the sparse RREF rows
+    rref_rows or (over Q) residual takes the reduced form, the sparse RREF rows
     ((pivot, free columns...), (1, entries...)), in both fields.  Mod p it is
     the table; over Q it is certified:
     1. take the RREF mod LIFT_PRIME;
@@ -236,15 +236,7 @@ class Echelon:
             coeffs = {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()}
             self._offered.append((tuple(coeffs), tuple(coeffs.values())))
         q = self.q
-        cols = np.fromiter(coeffs, dtype=np.intp, count=len(coeffs))
-        vals = np.array([v % q if type(v) is int else coerce_coeff(v, q)
-                         for v in coeffs.values()], dtype=np.int64)
-        slots = self._slot[cols]
-        at = slots >= 0
-        row = np.zeros(len(self._free), dtype=np.int64)
-        row[np.searchsorted(self._free, cols[~at])] = vals[~at]
-        if at.any():
-            row = (row - self._combination(slots[at], vals[at])) % q
+        row = self._reduce(coeffs)
         nonzero = np.flatnonzero(row)
         if not len(nonzero):
             return False
@@ -260,8 +252,26 @@ class Echelon:
         self._free = np.delete(self._free, j)
         return True
 
+    def _reduce(self, coeffs):
+        """The residual mod q of a row {column: coefficient}, on free columns."""
+        q = self.q
+        cols = np.fromiter(coeffs, dtype=np.intp, count=len(coeffs))
+        vals = np.array([v % q if type(v) is int else coerce_coeff(v, q)
+                         for v in coeffs.values()], dtype=np.int64)
+        slots = self._slot[cols]
+        at = slots >= 0
+        row = np.zeros(len(self._free), dtype=np.int64)
+        row[np.searchsorted(self._free, cols[~at])] = vals[~at]
+        if at.any():
+            row = (row - self._combination(slots[at], vals[at])) % q
+        return row
+
     def residual(self, coeffs):
-        """Exact residual of a vector as {column: field coefficient}."""
+        """Exact residual of a vector as {column: field coefficient}.  Mod p
+        it is read from the live table until the reduced form is taken."""
+        if self.p and self._reduced is None:
+            row = self._reduce(coeffs)
+            return {int(self._free[j]): int(row[j]) for j in np.flatnonzero(row)}
         rows, pivots = self.lift()
         p = self.p
         out = {c: x for c, v in coeffs.items() if (x := coerce_coeff(v, p))}

@@ -11,7 +11,7 @@ the sum of principal t x t minors, which is valid in every characteristic.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from operator import add
+from operator import add, le, sub
 
 from . import bounds as B
 from . import words as W
@@ -124,13 +124,8 @@ def _det(rows, nvars, p):
     size = len(rows)
     out = Poly.zero(nvars, p)
     for perm in permutations(range(size)):
-        sign = 1
-        seen = list(perm)
-        for i in range(size):
-            for j in range(i + 1, size):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        prod = Poly.const(sign, nvars, p)
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(size), 2))
+        prod = Poly.const((-1) ** inversions, nvars, p)
         for i in range(size):
             prod = prod * rows[i][perm[i]]
         out = out + prod
@@ -219,17 +214,9 @@ def generator_set(n, d, p, c_source=None):
     for t in range(1, n // 2 + 1):
         if t != 1 and not (p <= t):
             continue
-        m = n // t
-        cap = cap_of(m)
-        caps[t] = cap
-        seen = set()
+        caps[t] = cap = cap_of(n // t)
         for deg in range(1, cap + 1):
-            for a in _all_words_of_degree(deg, d):
-                rep = cyclic_min(a)
-                if rep in seen:
-                    continue
-                seen.add(rep)
-                entries.append(sigma_of_word(n, d, t, rep, p))
+            entries.extend(sigma_of_word(n, d, t, rep, p) for rep in _cyclic_reps(deg, d))
     tail = []
     for t in range(n // 2 + 1, n + 1):
         if 2 * t <= n or not (p <= t):
@@ -239,30 +226,71 @@ def generator_set(n, d, p, c_source=None):
     return GeneratorSet(n, d, p, entries, tail, caps)
 
 
-def _all_words_of_degree(deg, d):
-    return list(product(range(1, d + 1), repeat=deg))
+def _cyclic_reps(deg, d):
+    """The cyclic_min of every word of degree deg, once each, in word order."""
+    return dict.fromkeys(cyclic_min(a) for a in product(range(1, d + 1), repeat=deg))
 
 
-def subalgebra_reduce(gens, targets, p=0, limits=None):
+def subalgebra_reduce(gens, targets, p=0, limits=None, spans=None):
     """Which targets lie in the span of products of the given generators?
 
-    The targets share one X-multidegree (ValueError otherwise), and the
-    products are those whose X-multidegrees sum to it; this is the
-    degreewise membership test in the graded ring.  One echelon, whose
-    columns are the products' monomials (at most
-    limits.max_component_words of them), serves every target; a target with
-    a monomial outside those columns is not in the span.  Returns one bool
-    per target, in order.
+    The targets share one X-multidegree delta (ValueError otherwise); this is
+    the degreewise membership test in the graded ring (Derksen-Kemper,
+    Computational Invariant Theory, sec. 3).  Every product is g times a
+    product of the rest, so the span at delta is built recursively from the
+    rows g * b, for each multiplier g below delta and each b in the basis at
+    delta - g.xdeg, and then the generators at delta.  The basis keeps the
+    rows that raised the rank, and the multipliers are its generators: the
+    indecomposable ones.  Over Q, where the certified rank exceeds the rank
+    mod LIFT_PRIME, every row is kept.  spans, X-multidegree -> (basis,
+    multipliers), may be shared by calls with the same generators and p.
+    Each span has at most limits.max_component_words monomials.  Returns one
+    bool per target, in order.
     """
     xdegs = {target.xdeg for target in targets}
     if len(xdegs) != 1:
         raise ValueError("targets must share one X-multidegree, got %r" % sorted(xdegs))
     (xdeg,) = xdegs
-    limits = limits or DEFAULT_LIMITS
-    products = _graded_products(gens, xdeg)
-    monomials = set()
-    for poly in products:
-        monomials.update(poly.terms)
+    limits = (limits or DEFAULT_LIMITS).started()
+    spans = {} if spans is None else spans
+    built = _span(gens, xdeg, p, limits, spans)
+    ech, index = built or _echelon(spans[xdeg][0], xdeg, p, limits)[:2]
+    return [
+        index.keys() >= target.poly.terms.keys()
+        and ech.contains({index[m]: c for m, c in target.poly.terms.items()})
+        for target in targets
+    ]
+
+
+def _span(gens, xdeg, p, limits, spans):
+    """Build spans[xdeg] = (basis, multipliers) and the spans it needs below;
+    this build's (echelon, monomial index), or None if xdeg was built."""
+    if xdeg in spans:
+        return None
+    limits.check_deadline(xdeg)
+    rows = []
+    for e in dict.fromkeys(g.xdeg for g in gens):
+        if e != xdeg and all(map(le, e, xdeg)):
+            _span(gens, e, p, limits, spans)
+            if spans[e][1]:
+                rest = tuple(map(sub, xdeg, e))
+                _span(gens, rest, p, limits, spans)
+                rows.extend(g.poly * b for g in spans[e][1] for b in spans[rest][0])
+    own = [g for g in gens if g.xdeg == xdeg]
+    rows.extend(g.poly for g in own)
+    ech, index, kept = _echelon(rows, xdeg, p, limits)
+    if not p:
+        ech.lift(lambda: limits.check_deadline(xdeg))
+    if ech.rank != sum(kept):
+        kept = [True] * len(rows)
+    spans[xdeg] = ([poly for poly, ok in zip(rows, kept) if ok],
+                   [g for g, ok in zip(own, kept[len(rows) - len(own):]) if ok])
+    return ech, index
+
+
+def _echelon(rows, xdeg, p, limits):
+    """(echelon, monomial index, whether each row raised the rank)."""
+    monomials = set().union(*(poly.terms for poly in rows))
     if len(monomials) > limits.max_component_words:
         raise GuardError(
             "invariant component %r has %d monomials, over the limit of %d"
@@ -270,42 +298,7 @@ def subalgebra_reduce(gens, targets, p=0, limits=None):
         )
     index = {m: i for i, m in enumerate(sorted(monomials))}
     ech = Echelon(len(index), p)
-    for poly in products:
-        ech.add({index[m]: c for m, c in poly.terms.items()})
-    return [
-        monomials.issuperset(target.poly.terms)
-        and ech.contains({index[m]: c for m, c in target.poly.terms.items()})
-        for target in targets
-    ]
-
-
-def _graded_products(gens, xdeg):
-    """All products of generators (repetition allowed, order irrelevant)
-    whose X-multidegrees add up to xdeg, depth first.
-
-    An explicit stack, not a self-referencing closure: such a closure is a
-    reference cycle that keeps every product alive until the cyclic garbage
-    collector runs.
-    """
-    usable = [g for g in gens if all(a <= b for a, b in zip(g.xdeg, xdeg))]
-    out = []
-    # (first usable index allowed, X-multidegree left, product so far)
-    stack = [(0, xdeg, None)] if usable else []
-    while stack:
-        i, remaining, acc = stack.pop()
-        if not any(remaining):
-            out.append(acc)
-            continue
-        # pushed in reverse, so popped in the order of usable
-        for j in range(len(usable) - 1, i - 1, -1):
-            g = usable[j]
-            if all(a <= b for a, b in zip(g.xdeg, remaining)):
-                stack.append((
-                    j,
-                    tuple(b - a for a, b in zip(g.xdeg, remaining)),
-                    acc * g.poly if acc is not None else g.poly,
-                ))
-    return out
+    return ech, index, [ech.add({index[m]: c for m, c in poly.terms.items()}) for poly in rows]
 
 
 def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
@@ -313,11 +306,11 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
 
     For every t and every word a of degree in (cap, cap + extra_deg], the
     invariant sigma_t(X_a) must reduce into products of the generators.
-    Cases of one X-multidegree are decided together by one
-    subalgebra_reduce call.  Returns a report with one entry per case, in
-    the order of t, degree and word.  limits bounds each group's
-    elimination width, and its deadline, fixed once and checked before each
-    group, the whole check.
+    Cases of one X-multidegree are decided together by one subalgebra_reduce
+    call; the calls share their product spans, so each is built once.
+    Returns a report with one entry per case, in the order of t, degree and
+    word.  limits bounds the width of every span, and its deadline, fixed
+    once and checked at each target and each span built, the whole check.
     """
     limits = (limits or DEFAULT_LIMITS).started()
     allgens = generator_set(n, d, p, c_source).all()
@@ -327,19 +320,16 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
     for t in range(1, n + 1):
         cap = cap_of(n // t)
         for deg in range(cap + 1, cap + extra_deg + 1):
-            seen = set()
-            for a in _all_words_of_degree(deg, d):
-                rep = cyclic_min(a)
-                if rep in seen:
-                    continue
-                seen.add(rep)
+            for rep in _cyclic_reps(deg, d):
+                limits.check_deadline(tuple(t * e for e in W.multidegree(rep, d)))
                 target = sigma_of_word(n, d, t, rep, p)
                 case = {"t": t, "word": W.format_word(rep), "deg": deg, "pass": None}
                 cases.append(case)
                 groups.setdefault(target.xdeg, []).append((target, case))
-    for xdeg, members in groups.items():
-        limits.check_deadline(xdeg)
-        verdicts = subalgebra_reduce(allgens, [target for target, _ in members], p, limits)
+    spans = {}
+    for members in groups.values():
+        targets = [target for target, _ in members]
+        verdicts = subalgebra_reduce(allgens, targets, p, limits, spans)
         for (_, case), ok in zip(members, verdicts):
             case["pass"] = bool(ok)
     return {

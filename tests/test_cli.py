@@ -132,6 +132,25 @@ def test_invariants_gen_check_guards(capsys, flag):
     assert err.startswith("guard breached: ")
 
 
+def _run_child(*argv):
+    """The CLI in a child process, killed after 60 s."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "nilalg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_invariants_gen_check_timeout_n3():
+    # the deadline is checked at every target and every product span the
+    # recursion builds; a child process, so that a regression fails on the
+    # timeout instead of hanging
+    done = _run_child("invariants", "gen-check", "--n", "3", "--d", "2", "--p", "0",
+                      "--extra-deg", "2", "--timeout-sec", "2")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("guard breached: timeout")
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "bounds", "--n", "0", "--d", "2")
     assert code == 2
@@ -163,12 +182,8 @@ def test_guard_exit_code(capsys):
 def test_prime_beyond_int64_kernel_refused():
     # such a prime used to overflow the int64 rows and loop forever; run in a
     # child process so that a regression fails on the timeout, not hangs
-    argv = ["exact", "--n", "3", "--d", "2", "--p", "8589934609",
-            "--max-deg", "7", "--timeout-sec", "2"]
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-m", "nilalg.cli"] + argv, env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = _run_child("exact", "--n", "3", "--d", "2", "--p", "8589934609",
+                      "--max-deg", "7", "--timeout-sec", "2")
     assert done.returncode == 2
     assert "3037000499" in done.stderr
 

@@ -487,6 +487,25 @@ def test_q_echelon_matches_reference(p, case, rng):
     assert shuffled.rref_rows() == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([5, 7, _LARGEST_PRIME]), st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_Q_ENTRIES, min_size=n, max_size=n), max_size=9),
+    st.lists(st.lists(_Q_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=4),
+)))
+def test_modp_live_residual_matches_reduced_form(p, case):
+    # mod p, residual reads the live table until the reduced form is taken;
+    # it gives the residual of the reduced form, and takes nothing
+    rows, targets = case
+    ech = I.Echelon(len(targets[0]), p)
+    for r in rows:
+        ech.add(dict(enumerate(r)))
+    live = [ech.residual(dict(enumerate(t))) for t in targets]
+    assert ech._reduced is None
+    ech.lift()
+    assert [ech.residual(dict(enumerate(t))) for t in targets] == live
+    assert all(type(c) is int and type(v) is int for r in live for c, v in r.items())
+
+
 def _record_lift_primes(monkeypatch):
     # at most eight primes, so that a lift that never succeeds fails the
     # test instead of running through every prime below P

@@ -8,6 +8,7 @@ import pytest
 from nilalg import invariants as V
 from nilalg import words as W
 from nilalg.formal import FieldError
+from nilalg.ideal import LIFT_PRIME, Echelon
 from test_ideal import _residual_reference, _rref_reference
 
 
@@ -193,15 +194,7 @@ def _generation_check_oracle(n, d, p, extra_deg, cap_of):
             reps = dict.fromkeys(V.cyclic_min(a) for a in product(range(1, d + 1), repeat=deg))
             for rep in reps:
                 target = V.sigma_of_word(n, d, t, rep, p)
-                products = []
-                for k in range(1, sum(target.xdeg) + 1):
-                    for combo in combinations_with_replacement(gens, k):
-                        xdeg = tuple(map(sum, zip(*(g.xdeg for g in combo))))
-                        if xdeg == target.xdeg:
-                            poly = combo[0].poly
-                            for g in combo[1:]:
-                                poly = poly * g.poly
-                            products.append(poly)
+                products = _multiset_products(gens, target.xdeg)
                 columns = sorted(set(target.poly.terms).union(
                     *(poly.terms for poly in products)))
                 rows = [[poly.terms.get(m, 0) for m in columns] for poly in products]
@@ -232,6 +225,73 @@ def test_subalgebra_reduce_one_xdeg():
         V.subalgebra_reduce(gens, [a, V.sigma_of_word(2, 2, 1, (1, 2, 2))])
     with pytest.raises(ValueError):
         V.subalgebra_reduce(gens, [])
+
+
+def _spans_at(gens, p, xdegs):
+    """The shared product spans after one subalgebra_reduce call per xdeg."""
+    spans = {}
+    for xdeg in xdegs:
+        zero = V.InvariantPoly(V.Poly.zero(gens[0].poly.nvars, p), xdeg, 1, ())
+        assert V.subalgebra_reduce(gens, [zero], p, spans=spans) == [True]
+    return spans
+
+
+def test_multipliers_are_the_indecomposables_n2():
+    # tr X, tr Y, tr X^2, tr XY, tr Y^2 minimally generate the invariants of
+    # two 2 x 2 matrices in characteristic 0 (Sibirskii 1968, Procesi 1976)
+    gens = V.generator_set(2, 2, 0).all()
+    assert len(gens) == 11
+    spans = _spans_at(gens, 0, [(3, 3)])
+    multipliers = [(g.t, g.word) for _, kept in spans.values() for g in kept]
+    assert sorted(multipliers) == [(1, (1,)), (1, (1, 1)), (1, (1, 2)), (1, (2,)), (1, (2, 2))]
+
+
+def _rank(polys, p):
+    monomials = sorted(set().union(*(poly.terms for poly in polys)))
+    index = {m: i for i, m in enumerate(monomials)}
+    ech = Echelon(len(index), p)
+    for poly in polys:
+        ech.add({index[m]: c for m, c in poly.terms.items()})
+    return len(ech.lift()[0])
+
+
+def _multiset_products(gens, xdeg):
+    """Every product of generators, repetition allowed and order ignored,
+    whose X-multidegrees add up to xdeg."""
+    out = []
+    for k in range(1, sum(xdeg) + 1):
+        for combo in combinations_with_replacement(gens, k):
+            if tuple(map(sum, zip(*(g.xdeg for g in combo)))) == xdeg:
+                poly = combo[0].poly
+                for g in combo[1:]:
+                    poly = poly * g.poly
+                out.append(poly)
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_recursive_span_rank_matches_multiset_products(p):
+    gens = V.generator_set(2, 2, p).all()
+    rep = V.generation_check(2, 2, p, 3)
+    targets = {V.sigma_of_word(2, 2, c["t"], W.parse_word(c["word"]), p).xdeg
+               for c in rep["cases"]}
+    spans = _spans_at(gens, p, sorted(targets))
+    assert targets <= spans.keys()
+    for xdeg, (basis, _) in spans.items():
+        assert _rank(basis, p) == _rank(_multiset_products(gens, xdeg), p), xdeg
+
+
+def test_q_span_keeps_rows_rejected_mod_lift_prime():
+    # g2 = LIFT_PRIME * y vanishes mod LIFT_PRIME, so only x raises the rank
+    # there; over Q both are independent and both must stay multipliers, or
+    # g1 * g2 would be missing from the span at twice their X-multidegree
+    x, y = V.Poly.variable(0, 2, 0), V.Poly.variable(1, 2, 0)
+    g1 = V.InvariantPoly(x, (1,), 1, (1,))
+    g2 = V.InvariantPoly(y.scale(LIFT_PRIME), (1,), 1, (2,))
+    target = V.InvariantPoly(g1.poly * g2.poly, (2,), 1, (1, 2))
+    spans = {}
+    assert V.subalgebra_reduce([g1, g2], [target], spans=spans) == [True]
+    assert spans[(1,)][1] == [g1, g2]
 
 
 def test_newton_sigma_check():

@@ -104,10 +104,10 @@ class UsageError(ValueError):
 
 
 def _validate(args):
-    for name in ("n", "d"):
+    for name in ("n", "d", "max_deg", "extra_deg"):
         v = getattr(args, name, None)
         if v is not None and v < 1:
-            raise UsageError("--%s must be >= 1" % name)
+            raise UsageError("--%s must be >= 1" % name.replace("_", "-"))
     p = getattr(args, "p", None)
     if p is not None:
         try:

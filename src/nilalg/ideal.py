@@ -4,7 +4,15 @@ Each multidegree component of the relation ideal is the row space of the
 bordered polarization instances of that multidegree.  Components are built
 recursively: the component at delta is spanned by letter-multiples of the
 components one degree down plus the unbordered instances of multidegree
-exactly delta.  Rows are reduced by one kernel (Echelon): the RREF mod p,
+exactly delta.  Two rules skip rows that cannot raise the rank.  The left
+multiples x_k r of every child row come first, then the right multiples of
+each child's complement only, the rows that raised its rank after its own
+left multiples: the rest, L_{delta-e_k} x_k, lies in sum_j x_j I_{delta-e_j}.
+The unbordered instances that lead a letter-moving relation are skipped
+(polarize): the relation puts each in the span of the kept instances and
+the letter multiples.
+
+Rows are reduced by one kernel (Echelon): the RREF mod p,
 kept live as an int64 table of rank x free columns that reduces each new row
 by one product; for p = 0 it runs mod LIFT_PRIME and is lifted to Q by
 rational reconstruction, certified by an exact check (multimodular echelon
@@ -293,7 +301,7 @@ class Echelon:
 class ComponentBasis:
     """Row-reduced span of the relation ideal's component at one multidegree."""
 
-    def __init__(self, n, d, p, delta, words, echelon):
+    def __init__(self, n, d, p, delta, words, echelon, complement):
         self.n = n
         self.d = d
         self.p = p
@@ -301,6 +309,9 @@ class ComponentBasis:
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
         self.echelon = echelon
+        # (columns, coefficients) rows that with the left multiples of the
+        # components one degree down span this one
+        self.complement = complement
 
     @property
     def rank(self):
@@ -364,12 +375,23 @@ def component_basis(n, d, p, delta, limits=None):
     index = {w: i for i, w in enumerate(ws)}
     ech = Echelon(len(ws), p)
     ncols = len(ws)
+    # the rows offered after the left multiples (kept over Q only), and
+    # those of them that raised the rank mod q
+    offered, complement = [], []
 
     def full():
         return ech.rank == ncols
 
+    def offer(row):
+        limits.check_deadline(delta)
+        if not p:
+            offered.append(row)
+        if ech.add(row):
+            complement.append(row)
+
     if sum(delta) >= n:
-        # letter-multiples of the components one degree down
+        # left multiples x_k * (RREF rows) of the components one degree down
+        children = []
         for k in range(d):
             if full():
                 break
@@ -379,27 +401,34 @@ def component_basis(n, d, p, delta, limits=None):
             if sum(child_delta) < n:
                 continue
             child = component_basis(n, d, p, child_delta, limits)
-            letter = (k + 1,)
+            children.append((k + 1, child))
             for row in child.echelon.rows:
                 if full():
                     break
                 limits.check_deadline(delta)
-                terms = dict(zip(*row))
-                left = {index[letter + child.words[c]]: v for c, v in terms.items()}
-                right = {index[child.words[c] + letter]: v for c, v in terms.items()}
-                ech.add(left)
-                if not full():
-                    ech.add(right)
+                ech.add({index[(k + 1,) + child.words[c]]: v for c, v in zip(*row)})
+        # right multiples of each child's complement only: the child's left
+        # multiples times x_k are left multiples here, offered above
+        for letter, child in children:
+            for cols, vals in child.complement:
+                if full():
+                    break
+                offer({index[child.words[c] + (letter,)]: v for c, v in zip(cols, vals)})
         # unbordered polarization instances at exactly delta
         if not full():
             for row in bare_instances(n, delta, p, ws):
-                limits.check_deadline(delta)
-                ech.add(row)
+                offer(row)
                 if full():
                     break
 
+    rank_mod_q = ech.rank
     ech.lift(lambda: limits.check_deadline(delta))
-    basis = ComponentBasis(n, d, p, delta, ws, ech)
+    if ech.rank > rank_mod_q:
+        # over Q a row independent of the others vanished mod LIFT_PRIME:
+        # keep every row offered after the left block
+        complement = offered
+    complement = [(tuple(row), tuple(row.values())) for row in complement]
+    basis = ComponentBasis(n, d, p, delta, ws, ech, complement)
     _cache[key] = basis
     return basis
 

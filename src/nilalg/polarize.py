@@ -13,9 +13,17 @@ times the instance with the one pair (theta_i + theta_j, a), so merging ends
 in a generated multiset and no span changes at any p.  Rows {column:
 coefficient} are emitted directly: an argument word is an integer of
 (d-1).bit_length() bits per letter, an arrangement's word is shifts and ors
-of these, and one dict gives its column.  The component builder borders the
-instances by letters recursively; the tests check its span against the plain
-enumeration of all bordered instances.
+of these, and one dict gives its column.  An instance is skipped when its
+largest argument word w = b z (z a letter, b nonempty) has theta 1 and b is
+at least every other argument (by length, then letters), or mirrored with
+w = z b: with b in place of w, the identity over Z sum_j T(..., a_j z, ...)
+= sum_i a_i T_{theta-e_i+(1)}(a, z) has the skipped instance as its unique
+largest term, with coefficient 1, and its right side in the left multiples
+of lower components, so by induction the kept instances span the rest at
+every p.  The component builder (ideal) borders the instances by letters
+recursively, right multiples only of each child's complement: the child's
+left multiples times a letter are left multiples one degree up.  The tests
+check its span against the plain enumeration of all bordered instances.
 """
 
 from functools import lru_cache
@@ -145,13 +153,26 @@ def _code(w, bits):
     return c
 
 
+def _leads_relation(pairs):
+    """Does the instance lead a letter-moving relation: its largest argument
+    word w, by length and then letters, has theta 1, two or more letters,
+    and w[:-1] or w[1:] at least every other argument word?"""
+    (size, w, theta), *rest = sorted(((len(a), a, t) for t, a in pairs), reverse=True)
+    top = rest[0][:2] if rest else ()
+    return theta == 1 and size > 1 and max((size - 1, w[:-1]), (size - 1, w[1:])) >= top
+
+
 def bare_instances(n, delta, p, words):
     """The nonzero t_theta(n, theta, args) with distinct args and sum of
     theta_i * mdeg(a_i) equal to delta, up to pair permutation, as rows
-    {column: coefficient} over words; columns in order of first arising."""
+    {column: coefficient} over words; columns in order of first arising.
+    Instances that lead a letter-moving relation are skipped: it puts them
+    in the span of the rest and the letter multiples one degree down."""
     bits = (len(delta) - 1).bit_length()
     column = {_code(w, bits): i for i, w in enumerate(words)}
     for pairs in _pair_multisets(n, delta):
+        if _leads_relation(pairs):
+            continue
         codes = [_code(a, bits) for _, a in pairs]
         shifts = [bits * len(a) for _, a in pairs]
         row = {}

@@ -167,6 +167,22 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("exact", "--n", "3", "--d", "2", "--max-deg", "0"),
+    ("exact", "--n", "3", "--d", "2", "--max-deg", "-1"),
+    ("witness4", "--d", "2", "--max-deg", "0"),
+    ("invariants", "gen-check", "--n", "2", "--d", "1", "--extra-deg", "0"),
+    ("invariants", "gen-check", "--n", "2", "--d", "1", "--extra-deg", "-1"),
+])
+def test_degree_bounds_below_one_refused(capsys, argv):
+    # these used to exit 0 with no degree searched: "exceeds max_deg 0",
+    # "witness: None", or all_pass over zero cases
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be >= 1" in err
+
+
 def test_guard_exit_code(capsys):
     code, _, err = run(capsys, "exact", "--n", "3", "--d", "3", "--p", "0",
                        "--max-deg", "8", "--timeout-sec", "0")

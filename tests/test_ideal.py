@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import time
@@ -594,6 +595,64 @@ def test_cached_component_keeps_only_reduced_rows(clean_cache, p):
     ech = basis.echelon
     assert ech._table is None and ech._offered is None
     assert 0 < len(ech.rows) == basis.rank
+
+
+def _rref_digest():
+    """sha256 over the RREF rows of every cached component, by key."""
+    h = hashlib.sha256()
+    for key in sorted(I._cache):
+        h.update(repr((key, I._cache[key].echelon.rows)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("build,p,digest", [
+    ("c42", 0, "d21544e58dfab04f7f0c759f1704821f13abe1e9c9ec8c0695e740644f425c48"),
+    ("c42", 3, "e75d7c493138914432f2d325221cdf317b1384a469e121297dc5b8e8cf2a82c8"),
+    ("n5", 0, "f2d4726bd78a985ccc5a07df39d32441d1bf4e165e622a1402b41b6bed50b53b"),
+    ("n5", 3, "a07d8b24a6a85ccfc68bf2e7843b56003c22921e099e5739b9350f86c0711397"),
+], ids=["c42-0", "c42-3", "n5-0", "n5-3"])
+def test_component_rrefs_pinned(clean_cache, build, p, digest):
+    # the RREF of a component depends only on its span: pruning the offered
+    # rows must leave every row of every component built by C(4,2,p) or by
+    # n = 5 at (5,5) as it was when every row was offered
+    I.clear_cache()
+    if build == "c42":
+        assert I.nilpotency_degree(4, 2, p, 11).degree == 10
+    else:
+        I.component_basis(5, 2, p, (5, 5))
+    assert _rref_digest() == digest
+
+
+def test_q_complement_keeps_rows_lost_mod_lift_prime(monkeypatch, clean_cache):
+    # every unbordered instance times LIFT_PRIME: the same span over Q, but
+    # each vanishes mod LIFT_PRIME, so the rank there falls short and the
+    # complement must keep every row offered after the left block
+    I.clear_cache()
+    I.nilpotency_degree(3, 2, 0, 8)
+    want = {key: basis.echelon.rows for key, basis in I._cache.items()}
+    bare = I.bare_instances
+
+    def scaled(n, delta, p, words):
+        for row in bare(n, delta, p, words):
+            yield {c: v * I.LIFT_PRIME for c, v in row.items()}
+
+    short = []
+    lift = I.Echelon.lift
+
+    def recording(self, check=None):
+        if self._reduced is not None:
+            return lift(self, check)
+        rank_mod_q = len(self._pivots)
+        out = lift(self, check)
+        short.append(rank_mod_q < self.rank)
+        return out
+
+    monkeypatch.setattr(I, "bare_instances", scaled)
+    monkeypatch.setattr(I.Echelon, "lift", recording)
+    I.clear_cache()
+    I.nilpotency_degree(3, 2, 0, 8)
+    assert sum(short) > 3
+    assert {key: basis.echelon.rows for key, basis in I._cache.items()} == want
 
 
 def test_component_builds_leave_no_cyclic_garbage(clean_cache):

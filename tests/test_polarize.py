@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -173,6 +174,15 @@ def span_rank(sums, words):
     (4, (3, 3), 3),
     (3, (2, 2, 1), 2),
     (4, (2, 2, 1), 3),
+    # instances leading a letter-moving relation are skipped, and only the
+    # right multiples of each child's complement are offered, with p <= n
+    (4, (4, 3), 0),
+    (4, (5, 2), 3),
+    (4, (3, 2, 1), 2),
+    (5, (4, 3), 5),
+    # here the last letter's child supplies right multiples the first lacks
+    (3, (1, 1, 2), 0),
+    (4, (1, 2, 2), 2),
 ])
 def test_recursive_span_equals_bordered_span(n, delta, p):
     # the component basis built by the letter-border recursion spans exactly
@@ -186,14 +196,31 @@ def test_recursive_span_equals_bordered_span(n, delta, p):
         assert basis.echelon.contains(basis.vector_of(f))
 
 
+def _leads_letter_moving_relation(pairs):
+    """Does the instance lead a letter-moving relation: its largest argument
+    word w (by length, then letters) has multiplicity 1 and two or more
+    letters, and w without its last or without its first letter is at least
+    every other argument word?"""
+    def rank(a):
+        return (len(a), a)
+
+    w = max((a for _, a in pairs), key=rank)
+    others = [a for _, a in pairs if a != w]
+    theta_w = next(t for t, a in pairs if a == w)
+    return theta_w == 1 and len(w) >= 2 and any(
+        all(rank(b) >= rank(a) for a in others) for b in (w[:-1], w[1:]))
+
+
 def _exact_subset_of_within(n, delta, p):
     """The nonzero instances of the <=-budget pair multisets with distinct
-    argument words that use delta exactly, as (word, coefficient) lists: the
-    polarization over Z, in its word order, reduced mod p."""
+    argument words that use delta exactly and do not lead a letter-moving
+    relation, as (word, coefficient) lists: the polarization over Z, in its
+    word order, reduced mod p."""
     d = len(delta)
     for pairs in _pairs_within(n, delta):
         used = tuple(sum(t * W.multidegree(a, d)[k] for t, a in pairs) for k in range(d))
-        if used == tuple(delta) and len({a for _, a in pairs}) == len(pairs):
+        if (used == tuple(delta) and len({a for _, a in pairs}) == len(pairs)
+                and not _leads_letter_moving_relation(pairs)):
             args = ([t for t, _ in pairs], [a for _, a in pairs])
             terms = [(w, c % p if p else c)
                      for w, c in P.t_theta(n, *args, p=0, d=d).terms.items()]
@@ -217,6 +244,39 @@ def test_bare_instances_equal_exact_subset_in_order(n, d, p):
                    for row in P.bare_instances(n, delta, p, words)]
             want = list(_exact_subset_of_within(n, delta, p))
             assert got == want, (n, delta, p)
+
+
+def _letter_moving_sides(n, theta, args, z, d, prepend):
+    """Both sides of sum_j T(..., a_j z, ...) = sum_i a_i T_{theta-e_i+(1)}(a, z)
+    over Z, or of its mirror sum_j T(..., z a_j, ...) = sum_i T(a, z) a_i."""
+    lhs = rhs = FormalSum.zero(d, 0)
+    for i, a in enumerate(args):
+        kept = [(t - (j == i), b) for j, (t, b) in enumerate(zip(theta, args))]
+        kept = [(t, b) for t, b in kept if t]
+        moved = z + a if prepend else a + z
+        lhs = lhs + P.t_theta(n, *zip(*kept, (1, moved)), p=0, d=d)
+        core = P.t_theta(n, *zip(*kept, (1, z)), p=0, d=d)
+        rhs = rhs + core.map_words(lambda w: w + a if prepend else a + w)
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("prepend", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_letter_moving_identity(n, d, prepend):
+    # the identity behind skipping instances that lead a relation: moving a
+    # letter z onto each argument in turn sums to the left (right) multiples
+    # of the instances with z as an extra argument, exactly over Z
+    rng = random.Random(1000 * n + 10 * d + prepend)
+    for _ in range(12):
+        r = rng.randint(1, n)
+        cuts = sorted(rng.sample(range(1, n), r - 1))
+        theta = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        args = [tuple(rng.randint(1, d) for _ in range(rng.randint(1, 3)))
+                for _ in range(r)]
+        z = (rng.randint(1, d),)
+        lhs, rhs = _letter_moving_sides(n, theta, args, z, d, prepend)
+        assert not lhs.is_zero() and lhs == rhs, (theta, args, z)
 
 
 def _merge_first_repeat(pairs):

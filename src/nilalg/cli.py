@@ -104,10 +104,13 @@ class UsageError(ValueError):
 
 
 def _validate(args):
-    for name in ("n", "d", "max_deg", "extra_deg"):
+    for name in ("n", "d", "max_deg", "extra_deg", "limit_rows"):
         v = getattr(args, name, None)
         if v is not None and v < 1:
             raise UsageError("--%s must be >= 1" % name.replace("_", "-"))
+    timeout = getattr(args, "timeout_sec", None)
+    if timeout is not None and not timeout >= 0:  # also refuses NaN
+        raise UsageError("--timeout-sec must be a number >= 0")
     p = getattr(args, "p", None)
     if p is not None:
         try:

@@ -25,6 +25,7 @@ parents, residuals and normal forms all read it.
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from functools import cache
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -321,12 +322,9 @@ class ComponentBasis:
     def quotient_dimension(self):
         return len(self.words) - self.rank
 
-    def nonpivot_columns(self):
-        pivots = self.echelon.pivots
-        return [c for c in range(len(self.words)) if c not in pivots]
-
     def nonpivot_words(self):
-        return [self.words[c] for c in self.nonpivot_columns()]
+        pivots = self.echelon.pivots
+        return [w for c, w in enumerate(self.words) if c not in pivots]
 
     def vector_of(self, f):
         return {self.index[w]: c for w, c in f.terms.items()}
@@ -620,10 +618,17 @@ def equiv_zero_certificate(n, p, f, order, limits=None):
     vectors of all strictly greater words.  If all do, g is a combination
     of strictly greater words with contains(f - g); otherwise g is None.
 
-    Each group's residual by the component's echelon is reduced by one row
-    residual(e_i) + t_j per strictly greater word i, in the component's
-    non-pivot columns plus one tag column t_j each.  The group lies in the
-    span iff no word column is left, and its part of g is -sum resid[t_j] e_i.
+    Each group is decided on the component's RREF rows R_i (1 at pivot i,
+    the rest on free columns).  Modulo the ideal a free word c is itself and
+    a pivot word i is -R_i without its pivot, so the group's residual splits
+    into its greater words, which go to g as they are, and the rest, low.
+    An empty low is the verdict True.  Otherwise low must be a combination
+    of the "touching" rows: the rows of greater pivot words with an entry
+    on a free column that is not greater.  It is found by a small
+    elimination on those rows, cut to the non-greater columns, with one tag
+    column t_i each; a residual v on the tags alone gives g the terms
+    v_i (e_i + the greater part of R_i).  Strictly greater is decided only
+    for the columns these steps read.
     """
     if order not in _EQUIV_ORDERS:
         raise ValueError("order must be 'gtr' or 'succ', got %r" % (order,))
@@ -635,22 +640,47 @@ def equiv_zero_certificate(n, p, f, order, limits=None):
         groups.setdefault(key, {})[w] = c
     g = {}
     for (delta, _), terms in groups.items():
-        rep = next(iter(terms))
         basis = component_basis(n, d, p, delta, limits)
-        component = basis.echelon
-        free = {c: k for k, c in enumerate(basis.nonpivot_columns())}
-        greater = [i for i, w in enumerate(basis.words)
-                   if _strictly_greater(w, rep, d, order)]
-        ech = Echelon(len(free) + len(greater), p)
-        for j, i in enumerate(greater):
-            row = {free[c]: v for c, v in component.residual({i: 1}).items()}
-            row[len(free) + j] = 1
-            ech.add(row)
-        part = component.residual({basis.index[w]: c for w, c in terms.items()})
-        resid = ech.residual({free[c]: v for c, v in part.items()})
-        if any(c < len(free) for c in resid):
+        part = _equiv_group(basis, terms, order)
+        if part is None:
             return False, None
-        accumulate(
-            ((basis.words[greater[c - len(free)]], -v) for c, v in resid.items()), f.p, g
-        )
+        accumulate(part, f.p, g)
     return True, FormalSum(g, d, f.p)
+
+
+def _equiv_group(basis, terms, order):
+    """(word, coefficient) pairs of strictly greater words that one group of
+    equivalent terms is congruent to, or None if it is not equivalent to
+    zero."""
+    words, d = basis.words, basis.d
+    rep = next(iter(terms))
+
+    @cache
+    def greater(c):
+        return _strictly_greater(words[c], rep, d, order)
+
+    part = basis.echelon.residual({basis.index[w]: c for w, c in terms.items()})
+    out = [(words[c], v) for c, v in part.items() if greater(c)]
+    low = {c: v for c, v in part.items() if not greater(c)}
+    if not low:
+        return out
+    touching = [(cols, vals) for cols, vals in basis.echelon.rows
+                if not all(map(greater, cols[1:])) and greater(cols[0])]
+    if not touching:
+        return None
+    # the non-greater columns, low's first, then one tag column per row
+    column = {c: j for j, c in enumerate(low)}
+    cut = [{column.setdefault(c, len(column)): v for c, v in zip(cols, vals) if not greater(c)}
+           for cols, vals in touching]
+    tag = len(column)
+    ech = Echelon(tag + len(touching), basis.p)
+    for j, row in enumerate(cut):
+        row[tag + j] = 1
+        ech.add(row)
+    resid = ech.residual({column[c]: v for c, v in low.items()})
+    if any(c < tag for c in resid):
+        return None
+    for j, v in resid.items():
+        cols, vals = touching[j - tag]
+        out.extend((words[c], v * x) for c, x in zip(cols, vals) if greater(c))
+    return out

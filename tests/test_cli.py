@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -181,6 +182,34 @@ def test_degree_bounds_below_one_refused(capsys, argv):
     assert code == 2
     assert out == ""
     assert "must be >= 1" in err
+
+
+@pytest.mark.parametrize("flag", [
+    ("--timeout-sec", "nan"),  # used to exit 0 with no deadline at all
+    ("--timeout-sec", "-1"),  # these two used to exit 1 as guard breaches
+    ("--limit-rows", "-3"),
+    ("--limit-rows", "0"),
+])
+def test_bad_limits_refused(capsys, flag):
+    code, out, err = run(capsys, "exact", "--n", "4", "--d", "2", "--max-deg", "11", *flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: %s must be" % flag[0])
+
+
+def test_readme_command_lines_exit_zero(capsys):
+    # every line of README's "Command line" block runs and exits 0
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert len(lines) == 8
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "nilalg"
+        assert run(capsys, *argv)[0] == 0, line
 
 
 def test_guard_exit_code(capsys):

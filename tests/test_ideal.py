@@ -4,6 +4,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -266,6 +267,102 @@ def test_equiv_certificate_matches_oracle(clean_cache, case, p, order, data):
             and I._strictly_greater(u, w, d, order)
             for w in f.terms
         ), (format_sum(f), format_sum(g))
+
+
+def _equiv_tagged_reference(n, p, f, order):
+    """The verdict by the construction equiv_zero_certificate used before it
+    read the RREF rows: each group's residual reduced by one row
+    residual(e_i) + t_j per strictly greater word i, in the component's
+    non-pivot columns plus one tag column each."""
+    groups = {}
+    for w, c in f.terms.items():
+        key = (W.multidegree(w, f.d), I._class_key(w, f.d, order))
+        groups.setdefault(key, {})[w] = c
+    for (delta, _), terms in groups.items():
+        rep = next(iter(terms))
+        basis = I.component_basis(n, f.d, p, delta)
+        component = basis.echelon
+        pivots = component.pivots
+        free = {c: k for k, c in enumerate(c for c in range(len(basis.words))
+                                           if c not in pivots)}
+        greater = [i for i, w in enumerate(basis.words)
+                   if I._strictly_greater(w, rep, f.d, order)]
+        ech = I.Echelon(len(free) + len(greater), p)
+        for j, i in enumerate(greater):
+            row = {free[c]: v for c, v in component.residual({i: 1}).items()}
+            row[len(free) + j] = 1
+            ech.add(row)
+        part = component.residual({basis.index[w]: c for w, c in terms.items()})
+        resid = ech.residual({free[c]: v for c, v in part.items()})
+        if any(c < len(free) for c in resid):
+            return False
+    return True
+
+
+# the smallest n = 4 components found whose groups can need touching rows
+# (no component of at most 200 words at n <= 4 does, at p = 0 or 3), with
+# the verdicts that the inputs below reach them with
+@pytest.mark.parametrize("delta,p,verdicts", [
+    ((4, 2, 2), 0, {True, False}), ((4, 2, 2), 3, {True, False}),
+    ((3, 3, 2), 0, {True, False}), ((3, 3, 2), 3, {False}),
+])
+@pytest.mark.parametrize("order", ["gtr", "succ"])
+def test_touching_rows_match_tagged_reference(clean_cache, monkeypatch, delta, p,
+                                              verdicts, order):
+    n, d = 4, len(delta)
+    basis = I.component_basis(n, d, p, delta)
+    built = []
+
+    class Counting(I.Echelon):
+        def __init__(self, ncols, p):
+            built.append(ncols)
+            super().__init__(ncols, p)
+
+    monkeypatch.setattr(I, "Echelon", Counting)
+
+    def certificate(f):
+        built.clear()
+        return I.equiv_zero_certificate(n, p, f, order), bool(built)
+
+    rng = random.Random(11)
+    singles = [FormalSum({w: 1}, d, p) for w in basis.words]
+    # the first two words whose group needs the touching rows, their sum,
+    # each plus another word of its group, and one word pinned for (4, 2, 2)
+    reached = list(islice((f for f in singles if certificate(f)[1]), 2))
+    cases = reached + [reached[0] + reached[1].scale(2)]
+    for f in reached:
+        key = I._class_key(next(iter(f.terms)), d, order)
+        group = [w for w in basis.words if I._class_key(w, d, order) == key]
+        cases.append(f + FormalSum({rng.choice(group): 1}, d, p))
+    if delta == (4, 2, 2):
+        cases.append(S("x1.x2.x1^3.x3.x2.x3", d, p))
+    seen = set()
+    for f in cases:
+        (ok, g), hit = certificate(f)
+        if hit:
+            seen.add(ok)
+        assert ok == _equiv_tagged_reference(n, p, f, order), format_sum(f)
+        if not ok:
+            assert g is None
+            continue
+        assert I.contains(n, p, f - g)
+        assert all(any(I._strictly_greater(u, w, d, order) for w in f.terms)
+                   for u in g.terms)
+    assert seen == verdicts
+
+
+def test_readme_equiv_example_builds_no_echelon(clean_cache, monkeypatch):
+    # the group's residual lies on greater words only: the verdict and the
+    # certificate are read off it, with no elimination of their own
+    f = S("x1.x2.x1^2 + x1^2.x2.x1", 2)
+    I.component_basis(4, 2, 0, (3, 2))
+
+    def refuse(*args):
+        raise AssertionError("equiv_zero_certificate built an Echelon")
+
+    monkeypatch.setattr(I, "Echelon", refuse)
+    ok, g = I.equiv_zero_certificate(4, 0, f, "succ")
+    assert ok and format_sum(g) == "-x1^3.x2 - x2.x1^3"
 
 
 # ---- mirror / substitution ----

@@ -1,13 +1,13 @@
 """Closed-form and recursive bounds on the nilpotency degree C(n, d, p).
 
 Every bound carries its applicability condition on the characteristic, the
-direction, an exact integer value when one exists, and a log10 value that is
-always present (the comparator bounds grow like n^(n^3) and are only ever
-needed in log space).
+direction, a log10 value that is always present, and its exact integer when
+it has one of fewer than _EXACT_DIGIT_LIMIT digits (the comparator bounds
+grow like n^(n^3) and are only ever needed in log space).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,7 +19,7 @@ LOWER = "lower"
 # coefficients a_n of the linear-in-d bound for 4 <= n <= 9, n/2 < p <= n
 LINEAR_COEFF = {4: 8, 5: 12, 6: 24, 7: 30, 8: 50, 9: 64}
 
-_EXACT_DIGIT_LIMIT = 40  # only materialize integers below ~1e40
+_EXACT_DIGIT_LIMIT = 40  # an exact value is kept only when its log10 is below this
 
 
 @dataclass
@@ -38,15 +38,7 @@ class BoundResult:
         return self.value_log10
 
     def to_json(self):
-        return {
-            "formula_id": self.formula_id,
-            "direction": self.direction,
-            "value_exact": self.value_exact,
-            "value_log10": self.value_log10,
-            "applicability": self.applicability,
-            "citation": self.citation,
-            "conditional": self.conditional,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -60,15 +52,7 @@ class BoundSummary:
     assume_conjecture_n2: bool = False
 
     def to_json(self):
-        return {
-            "n": self.n,
-            "d": self.d,
-            "p": self.p,
-            "best_upper": self.best_upper.to_json(),
-            "best_lower": self.best_lower.to_json(),
-            "assume_conjecture_n2": self.assume_conjecture_n2,
-            "all": [b.to_json() for b in self.all],
-        }
+        return asdict(self)
 
 
 def _validate(n, d, p):
@@ -79,9 +63,7 @@ def _validate(n, d, p):
 
 def _strict_int_bound(value):
     """Integer upper bound from a strict inequality C < value (a Fraction)."""
-    if value.denominator == 1:
-        return value.numerator - 1
-    return value.numerator // value.denominator
+    return (value.numerator - 1) // value.denominator
 
 
 def exact_known(n, d, p):
@@ -104,6 +86,7 @@ def exact_known(n, d, p):
     return None
 
 
+@lru_cache(maxsize=None)
 def _best_upper_value(n, d, p):
     """Best available integer upper bound on C(n, d, p), for use inside the
     recursion.  The recursion's right-hand side is monotone in these values,
@@ -118,26 +101,53 @@ def _best_upper_value(n, d, p):
     return min(candidates)
 
 
-@lru_cache(maxsize=None)
 def recursive_bound(n, d, p):
     """The recursive upper bound d * sum_{i=2..n} (i-1) C(floor(n/i), d) + 1.
 
     Valid for p = 0 or p > n/2.  Inner degrees are replaced by their best
-    available upper bounds, which is sound by monotonicity of the sum.
+    available upper bounds, which is sound by monotonicity of the sum.  The
+    sum runs over the O(sqrt n) blocks a..b of i with one value of n // i,
+    where sum_{i=a..b} (i-1) = (a+b-2)(b-a+1)/2.
     """
     _validate(n, d, p)
     if p != 0 and 2 * p <= n:
         raise ValueError("recursive bound needs p = 0 or p > n/2, got p=%d" % p)
-    if n == 1:
-        return 1
     total = 0
-    for i in range(2, n + 1):
-        total += (i - 1) * _best_upper_value(n // i, d, p)
+    a = 2
+    while a <= n:
+        q = n // a
+        b = n // q
+        total += (a + b - 2) * (b - a + 1) // 2 * _best_upper_value(q, d, p)
+        a = b + 1
     return d * total + 1
 
 
+def _belov_kharitonov_log10(n, d):
+    """log10 of the two Belov-Kharitonov bounds (Cor. 1.16, Thm. 1.17)."""
+    log3 = math.log(3)
+    log_n = math.log10(n)
+    bk1 = (math.log(64) / log3 + 5) * math.log10(4) + 12 * (
+        math.log(4 * n) / log3 + 1
+    ) * log_n + math.log10(d)
+    bk2 = math.log10(256) + (8 * math.log2(n) + 22) * log_n + math.log10(d)
+    return bk1, bk2
+
+
+def _exp_half(n, d):
+    """The half-exponential bound C < factor * 2^(n/2) * d, factor 2 once
+    n >= 30 (else 4): the factor and the bound's log10."""
+    factor = 2 if n >= 30 else 4
+    return factor, math.log10(factor) + n / 2 * math.log10(2) + math.log10(d)
+
+
 def closed_form_bounds(n, d, p, assume_conjecture_n2=False):
-    """All applicable closed-form upper bounds at (n, d, p)."""
+    """All applicable closed-form upper bounds at (n, d, p).
+
+    Each formula is written once, as its log10 value and, when it has an
+    exact integer form, a thunk for that integer.  The thunk is evaluated
+    only when the log10 value is below _EXACT_DIGIT_LIMIT, so value_exact
+    is None above that many digits and value_log10 is always present.
+    """
     _validate(n, d, p)
     if n < 2 or d < 2:
         return []
@@ -145,124 +155,68 @@ def closed_form_bounds(n, d, p, assume_conjecture_n2=False):
     log_n = math.log10(n)
     log_d = math.log10(d)
 
-    def emit(formula_id, exact_value, log10_value, cond, citation, conditional=False):
-        out.append(
-            BoundResult(formula_id, UPPER, exact_value, log10_value, cond, citation,
-                        conditional)
-        )
+    def emit(formula_id, log10_value, exact, cond, citation, conditional=False):
+        value = exact() if exact is not None and log10_value < _EXACT_DIGIT_LIMIT else None
+        out.append(BoundResult(formula_id, UPPER, value, log10_value, cond, citation,
+                               conditional))
 
     if p == 0 or p > n:
-        emit(
-            "nagata_higman",
-            2**n - 1,
-            n * math.log10(2),
-            "p = 0 or p > n",
-            "Nagata-Higman theorem (Dubnov-Ivanov 1943)",
-        )
+        emit("nagata_higman", n * math.log10(2), lambda: 2**n - 1, "p = 0 or p > n",
+             "Nagata-Higman theorem (Dubnov-Ivanov 1943)")
     if p == 0:
-        emit("razmyslov", n * n, 2 * log_n, "p = 0", "Razmyslov 1974")
+        emit("razmyslov", 2 * log_n, lambda: n * n, "p = 0", "Razmyslov 1974")
     if p > n and n >= 3:
-        emit(
-            "doubling_sharpened",
-            7 * 2 ** (n - 3) - 1,
-            math.log10(7) + (n - 3) * math.log10(2),
-            "p > n, n >= 3",
-            "doubling recursion C(n) <= 2 C(n-1) + 1 seeded with C(3) = 6",
-        )
+        emit("doubling_sharpened", math.log10(7) + (n - 3) * math.log10(2),
+             lambda: 7 * 2 ** (n - 3) - 1, "p > n, n >= 3",
+             "doubling recursion C(n) <= 2 C(n-1) + 1 seeded with C(3) = 6")
 
-    # polynomial-in-n bound: C < n^(log2(3d+2)+1)
-    exponent = math.log2(3 * d + 2) + 1
-    poly_log10 = exponent * log_n
-    poly_exact = None
-    if (3 * d + 2) & (3 * d + 1) == 0:  # 3d+2 a power of two
-        m = (3 * d + 2).bit_length()  # log2(3d+2) + 1
-        if m * log_n < _EXACT_DIGIT_LIMIT:
-            poly_exact = _strict_int_bound(Fraction(n**m))
-    if 2 * p > n and p > 0:
-        emit("poly_in_n", poly_exact, poly_log10, "p > n/2",
+    # polynomial-in-n bound C < n^(log2(3d+2)+1), a power of n when 3d+2 is a
+    # power of two
+    poly_log10 = (math.log2(3 * d + 2) + 1) * log_n
+    power = (3 * d + 2).bit_length()
+    poly_exact = (lambda: n**power - 1) if (3 * d + 2) & (3 * d + 1) == 0 else None
+    if p == 0:
+        emit("poly_in_n_char0_extension", poly_log10, poly_exact,
+             "p = 0 (stated for p > n/2; the derivation also covers p = 0)",
+             "polynomial growth in n for fixed d, characteristic-0 extension")
+    elif 2 * p > n:
+        emit("poly_in_n", poly_log10, poly_exact, "p > n/2",
              "polynomial growth in n for fixed d")
-    elif p == 0:
-        emit(
-            "poly_in_n_char0_extension",
-            poly_exact,
-            poly_log10,
-            "p = 0 (stated for p > n/2; the derivation also covers p = 0)",
-            "polynomial growth in n for fixed d, characteristic-0 extension",
-        )
-
-    # half-exponential bound: C < 4 * 2^(n/2) * d  (factor 2 once n >= 30)
-    if 2 * p > n and p > 0:
-        factor = 2 if n >= 30 else 4
-        log10_val = math.log10(factor) + n / 2 * math.log10(2) + log_d
-        exact = None
-        if n % 2 == 0 and (1 + n / 2 * math.log10(2) + log_d) < _EXACT_DIGIT_LIMIT:
-            exact = _strict_int_bound(Fraction(factor * 2 ** (n // 2) * d))
-        emit("exp_half", exact, log10_val, "p > n/2",
-             "half-exponential bound, linear in d")
-
-    if n in LINEAR_COEFF and 2 * p > n and p <= n:
-        a = LINEAR_COEFF[n]
-        emit(
-            "small_n_linear",
-            a * d + 1,
-            math.log10(a * d + 1),
-            "4 <= n <= 9, n/2 < p <= n",
-            "linear-in-d table for small n",
-        )
+        factor, half_log10 = _exp_half(n, d)
+        emit("exp_half", half_log10,
+             (lambda: factor * 2 ** (n // 2) * d - 1) if n % 2 == 0 else None,
+             "p > n/2", "half-exponential bound, linear in d")
+        if n in LINEAR_COEFF and p <= n:
+            a = LINEAR_COEFF[n]
+            emit("small_n_linear", math.log10(a * d + 1), lambda: a * d + 1,
+                 "4 <= n <= 9, n/2 < p <= n", "linear-in-d table for small n")
 
     # comparator bounds, any characteristic
-    log10_klein1 = 6 * log_n + n * log_d - math.log10(6)
-    exact = None
-    if log10_klein1 < _EXACT_DIGIT_LIMIT:
-        exact = _strict_int_bound(Fraction(n**6 * d**n, 6))
-    emit("klein_small", exact, log10_klein1, "any p", "Klein 2000")
-
+    emit("klein_small", 6 * log_n + n * log_d - math.log10(6),
+         lambda: _strict_int_bound(Fraction(n**6 * d**n, 6)), "any p", "Klein 2000")
     m = n // 2
-    if m >= 1:
-        log10_klein2 = (
-            n**3 * log_n + m * log_d - math.lgamma(m) / math.log(10)
-        )
-        exact = None
-        if log10_klein2 < _EXACT_DIGIT_LIMIT:
-            exact = _strict_int_bound(Fraction(n ** (n**3) * d**m, math.factorial(m - 1)))
-        emit("klein_large", exact, log10_klein2, "any p", "Klein 2000")
+    emit("klein_large", n**3 * log_n + m * log_d - math.lgamma(m) / math.log(10),
+         lambda: _strict_int_bound(Fraction(n ** (n**3) * d**m, math.factorial(m - 1))),
+         "any p", "Klein 2000")
+    bk1, bk2 = _belov_kharitonov_log10(n, d)
+    emit("belov_kharitonov_1", bk1, None, "any p", "Belov-Kharitonov 2012, Cor. 1.16")
+    emit("belov_kharitonov_2", bk2, None, "any p", "Belov-Kharitonov 2012, Thm. 1.17")
 
-    log3 = math.log(3)
-    bk1 = (math.log(64) / log3 + 5) * math.log10(4) + 12 * (
-        math.log(4 * n) / log3 + 1
-    ) * log_n + log_d
-    emit("belov_kharitonov_1", None, bk1, "any p", "Belov-Kharitonov 2012, Cor. 1.16")
-    bk2 = math.log10(256) + (8 * math.log2(n) + 22) * log_n + log_d
-    emit("belov_kharitonov_2", None, bk2, "any p", "Belov-Kharitonov 2012, Thm. 1.17")
-
-    if n == 4:
-        if p == 3:
-            emit("n4_interval_upper", 3 * d + 4, math.log10(3 * d + 4),
-                 "n = 4, p = 3", "canonical-form analysis for n = 4")
-        elif p > 3:
-            emit("n4_interval_upper", 13, math.log10(13),
-                 "n = 4, p > 3", "canonical-form analysis for n = 4")
+    if n == 4 and p >= 3:
+        top = 3 * d + 4 if p == 3 else 13
+        emit("n4_interval_upper", math.log10(top), lambda: top,
+             "n = 4, p = 3" if p == 3 else "n = 4, p > 3",
+             "canonical-form analysis for n = 4")
 
     if assume_conjecture_n2:
         if 2 * p > n and p <= n:
-            val = n * n * math.log(n) * d
-            emit(
-                "modulo_conjecture_n2",
-                None,
-                math.log10(val),
-                "n/2 < p <= n, conditional on C <= n^2 for p > n",
-                "harmonic-sum refinement, conditional",
-                conditional=True,
-            )
+            emit("modulo_conjecture_n2", math.log10(n * n * math.log(n) * d), None,
+                 "n/2 < p <= n, conditional on C <= n^2 for p > n",
+                 "harmonic-sum refinement, conditional", conditional=True)
         if p > n:
-            emit(
-                "conjecture_n2",
-                n * n,
-                2 * log_n,
-                "p > n, conjectural",
-                "conjectured extension of the characteristic-0 n^2 bound",
-                conditional=True,
-            )
+            emit("conjecture_n2", 2 * log_n, lambda: n * n, "p > n, conjectural",
+                 "conjectured extension of the characteristic-0 n^2 bound",
+                 conditional=True)
     return out
 
 
@@ -310,14 +264,9 @@ def best_bounds(n, d, p, assume_conjecture_n2=False):
     entries = []
     exact = exact_known(n, d, p)
     if exact is not None:
-        entries.append(
-            BoundResult("exact", UPPER, exact, math.log10(exact),
-                        "exact value known", "known-values table")
-        )
-        entries.append(
-            BoundResult("exact", LOWER, exact, math.log10(exact),
-                        "exact value known", "known-values table")
-        )
+        entries += [BoundResult("exact", direction, exact, math.log10(exact),
+                                "exact value known", "known-values table")
+                    for direction in (UPPER, LOWER)]
     entries.extend(closed_form_bounds(n, d, p, assume_conjecture_n2))
     if n >= 2 and (p == 0 or 2 * p > n):
         v = recursive_bound(n, d, p)
@@ -329,8 +278,6 @@ def best_bounds(n, d, p, assume_conjecture_n2=False):
     # conditional (conjecture-dependent) entries are listed but never chosen
     uppers = [b for b in entries if b.direction == UPPER and not b.conditional]
     lowers = [b for b in entries if b.direction == LOWER and not b.conditional]
-    if not uppers or not lowers:
-        raise ValueError("no applicable bounds at (n=%d, d=%d, p=%d)" % (n, d, p))
     best_upper = min(uppers, key=lambda b: (b.sort_log10(), b.value_exact is None))
     best_lower = max(lowers, key=lambda b: (b.sort_log10(), b.value_exact is not None))
     return BoundSummary(n, d, p, entries, best_upper, best_lower,
@@ -342,15 +289,8 @@ def comparator_ratio_log10(n, d=2):
 
     Both sides are linear in d, so the ratio does not depend on d.
     """
-    log3 = math.log(3)
-    log_n = math.log10(n)
-    bk1 = (math.log(64) / log3 + 5) * math.log10(4) + 12 * (
-        math.log(4 * n) / log3 + 1
-    ) * log_n + math.log10(d)
-    bk2 = math.log10(256) + (8 * math.log2(n) + 22) * log_n + math.log10(d)
-    factor = 2 if n >= 30 else 4
-    ours = math.log10(factor) + n / 2 * math.log10(2) + math.log10(d)
-    return min(bk1, bk2) - ours
+    _, half_log10 = _exp_half(n, d)
+    return min(_belov_kharitonov_log10(n, d)) - half_log10
 
 
 def comparator_table(n_start=4, n_stop=2000, d=2):

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 runtime guard breached, 2 usage error.
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -20,7 +19,7 @@ from .formal import check_characteristic, format_sum, parse_sum
 from .words import WordError, format_word
 
 
-def _add_common(sub, *names):
+def _add_common(sub, *names, limits=True):
     if "n" in names:
         sub.add_argument("--n", type=int, required=True)
     if "d" in names:
@@ -28,8 +27,9 @@ def _add_common(sub, *names):
     if "p" in names:
         sub.add_argument("--p", type=int, default=0)
     sub.add_argument("--json", action="store_true", help="emit JSON only")
-    sub.add_argument("--limit-rows", type=int, default=20_000, dest="limit_rows")
-    sub.add_argument("--timeout-sec", type=float, default=None, dest="timeout_sec")
+    if limits:
+        sub.add_argument("--limit-rows", type=int, default=20_000, dest="limit_rows")
+        sub.add_argument("--timeout-sec", type=float, default=None, dest="timeout_sec")
 
 
 def build_parser():
@@ -37,7 +37,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = subs.add_parser("bounds", help="all applicable bound formulas for C(n,d,p)")
-    _add_common(sp, "n", "d", "p")
+    _add_common(sp, "n", "d", "p", limits=False)
     sp.add_argument("--csv", action="store_true")
     sp.add_argument("--assume-conjecture-n2", action="store_true", dest="assume_conjecture_n2")
 
@@ -80,10 +80,8 @@ def build_parser():
 
 def _limits(args):
     """The command's limits, with its one deadline already running."""
-    return I.Limits(
-        max_component_words=getattr(args, "limit_rows", 20_000),
-        timeout_sec=getattr(args, "timeout_sec", None),
-    ).started()
+    return I.Limits(max_component_words=args.limit_rows,
+                    timeout_sec=args.timeout_sec).started()
 
 
 def _read_expr(args, d, p):
@@ -127,39 +125,26 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _bounds_payload(args):
-    summary = B.best_bounds(
-        args.n, args.d, args.p,
-        assume_conjecture_n2=getattr(args, "assume_conjecture_n2", False),
-    )
-    return summary
-
-
 def run_bounds(args):
-    summary = _bounds_payload(args)
-    payload = summary.to_json()
-    if getattr(args, "csv", False):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+    summary = B.best_bounds(args.n, args.d, args.p, args.assume_conjecture_n2)
+    if args.csv:
+        writer = csv.writer(sys.stdout)
         writer.writerow(["formula_id", "direction", "value_exact", "value_log10",
                          "applicability", "conditional"])
         for r in summary.all:
             writer.writerow([r.formula_id, r.direction, r.value_exact,
                              "%.6f" % r.value_log10, r.applicability, r.conditional])
-        print(buf.getvalue(), end="")
         return 0
     lines = ["bounds for C(n=%d, d=%d, p=%d)" % (args.n, args.d, args.p)]
     for r in summary.all:
         val = str(r.value_exact) if r.value_exact is not None else "10^%.3f" % r.value_log10
         lines.append("  %-28s %-5s %-22s %s" % (r.formula_id, r.direction, val,
                                                 "(conditional)" if r.conditional else ""))
-    if summary.best_upper:
-        lines.append("best upper: %s via %s" %
-                     (summary.best_upper.value_exact, summary.best_upper.formula_id))
-    if summary.best_lower:
-        lines.append("best lower: %s via %s" %
-                     (summary.best_lower.value_exact, summary.best_lower.formula_id))
-    _emit(args, payload, lines)
+    lines.append("best upper: %s via %s" %
+                 (summary.best_upper.value_exact, summary.best_upper.formula_id))
+    lines.append("best lower: %s via %s" %
+                 (summary.best_lower.value_exact, summary.best_lower.formula_id))
+    _emit(args, summary.to_json(), lines)
     return 0
 
 
@@ -227,13 +212,11 @@ def run_compare(args):
     argmin_n, min_ratio = min(rows, key=lambda r: r[1])
     payload = {"d": args.d, "n_min": 4, "n_max": args.n,
                "min_log10_ratio": min_ratio, "argmin_n": argmin_n}
-    if getattr(args, "csv", False):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+    if args.csv:
+        writer = csv.writer(sys.stdout)
         writer.writerow(["n", "log10_ratio"])
         for n, ratio in rows:
             writer.writerow([n, "%.6f" % ratio])
-        print(buf.getvalue(), end="")
         return 0
     _emit(args, payload, [
         "comparator ratio, d=%d, n in [4, %d]" % (args.d, args.n),

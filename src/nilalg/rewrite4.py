@@ -108,8 +108,6 @@ def witness_search(d, p, degree_range, limits=None):
     degrees = sorted(degree_range, reverse=True)
     for total in degrees:
         for delta in I._sorted_multidegrees(total, d):
-            if sum(delta) != total:
-                continue
             qdim = I.quotient_dimension(N4, d, p, delta, limits)
             if qdim == 0:
                 continue

@@ -150,3 +150,61 @@ def test_bound_validation():
         B.best_bounds(0, 2, 0)
     with pytest.raises(ValueError):
         B.best_bounds(3, 2, 4)  # 4 is not prime
+
+
+# formula ids whose bound is an integer expression at every (n, d)
+ALWAYS_EXACT = {"nagata_higman", "razmyslov", "doubling_sharpened", "small_n_linear",
+                "klein_small", "klein_large", "n4_interval_upper", "conjecture_n2"}
+
+
+def has_exact_form(formula_id, n, d):
+    if formula_id.startswith("poly_in_n"):
+        return (3 * d + 2) & (3 * d + 1) == 0  # n^(log2(3d+2)+1) is a power of n
+    if formula_id == "exp_half":
+        return n % 2 == 0  # 2^(n/2) is an integer
+    return formula_id in ALWAYS_EXACT
+
+
+def test_exact_value_kept_only_below_digit_limit():
+    seen = set()
+    for n in list(range(2, 40)) + [128, 132, 133, 134, 138, 256, 258, 260, 1000]:
+        for d in (2, 3, 5):
+            for p in (0, 2, 3, 5, 131, 1009):
+                for b in B.closed_form_bounds(n, d, p, assume_conjecture_n2=True):
+                    below = b.value_log10 < B._EXACT_DIGIT_LIMIT
+                    expected = has_exact_form(b.formula_id, n, d) and below
+                    assert (b.value_exact is not None) == expected, (n, d, p, b)
+                    if b.value_exact is not None:
+                        # the integer is the largest one at or below 10^value_log10
+                        v, lg = b.value_exact, b.value_log10
+                        assert math.log10(v) <= lg + 1e-9 < math.log10(v + 1) + 2e-9, b
+                    seen.add((b.formula_id, b.value_exact is not None))
+    # every formula is met both with and without its integer, except those
+    # with no exact form and those that never reach 40 digits on this grid
+    for fid in ("nagata_higman", "doubling_sharpened", "poly_in_n", "exp_half",
+                "klein_small", "klein_large"):
+        assert {(fid, True), (fid, False)} <= seen, fid
+
+
+def plain_recursive_bound(n, d, p):
+    """The recursion summed term by term, i = 2..n."""
+    upper = {m: B._best_upper_value(m, d, p) for m in range(1, n // 2 + 1)}
+    return d * sum((i - 1) * upper[n // i] for i in range(2, n + 1)) + 1
+
+
+def test_recursive_bound_blocks_match_plain_sum():
+    for d in (1, 2, 3):
+        for p in (0, 307):
+            for n in range(1, 301):
+                assert B.recursive_bound(n, d, p) == plain_recursive_bound(n, d, p), (n, d, p)
+    for n in range(1, 6):
+        assert B.recursive_bound(n, 2, 3) == plain_recursive_bound(n, 2, 3)
+
+
+def test_comparator_ratio_reads_the_closed_form_entries():
+    for n, p in [(n, 101) for n in range(4, 101)] + [(500, 503), (2000, 2003)]:
+        for d in (2, 5):
+            by_id = {b.formula_id: b.value_log10 for b in B.closed_form_bounds(n, d, p)}
+            ratio = min(by_id["belov_kharitonov_1"], by_id["belov_kharitonov_2"]) \
+                - by_id["exp_half"]
+            assert B.comparator_ratio_log10(n, d) == ratio, (n, d)

@@ -109,6 +109,24 @@ def test_bounds_csv(capsys):
     assert rows
 
 
+def test_bounds_beyond_int_string_limit(capsys):
+    # 2^15000 - 1 has more digits than int-to-str conversion allows; the
+    # Nagata-Higman entry keeps its log10 value and drops the integer
+    code, out, err = run(capsys, "bounds", "--n", "15000", "--d", "2", "--p", "0", "--json")
+    assert code == 0, err
+    by_id = {b["formula_id"]: b for b in json.loads(out)["all"]}
+    assert by_id["nagata_higman"]["value_exact"] is None
+    assert by_id["nagata_higman"]["value_log10"] == pytest.approx(15000 * 0.30103, rel=1e-5)
+
+
+@pytest.mark.parametrize("flag", [("--limit-rows", "5"), ("--timeout-sec", "1")])
+def test_bounds_has_no_engine_limits(capsys, flag):
+    code, out, err = run(capsys, "bounds", "--n", "5", "--d", "2", *flag)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: %s" % flag[0] in err
+
+
 def test_compare(capsys):
     code, out, _ = run(capsys, "compare", "--n", "2000", "--json")
     assert code == 0

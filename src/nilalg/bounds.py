@@ -235,7 +235,8 @@ def lower_bounds(n, d, p):
     if 0 < p <= n:
         emit("generator_count", d, "0 < p <= n", "DKZ 2002")
     emit("single_letter", n, "any p", "C(n,1) = n and monotonicity in d")
-    for n_prev in range(n - 1, 1, -1):
+    # exact_known knows nothing above n = 4 unless d = 1
+    for n_prev in range(n - 1 if d == 1 else min(n - 1, 4), 1, -1):
         v = exact_known(n_prev, d, p)
         if v is not None:
             emit(

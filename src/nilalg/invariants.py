@@ -10,8 +10,8 @@ the sum of principal t x t minors, which is valid in every characteristic.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from operator import add, le, sub
+from itertools import combinations, compress, permutations, product, repeat
+from operator import add, itemgetter, le, sub
 
 from . import bounds as B
 from . import words as W
@@ -97,27 +97,32 @@ def generic_matrix(n, d, p, k):
 
 
 def mat_mul(a, b, n, nvars, p):
-    return [
-        [
-            sum(
-                (a[i][l] * b[l][j] for l in range(n)),
-                Poly.zero(nvars, p),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    zero = Poly.zero(nvars, p)
+    return [[sum((a[i][l] * b[l][j] for l in range(n)), zero) for j in range(n)]
+            for i in range(n)]
 
 
 def eval_word(n, d, a, p=0):
     """Product of generic matrices along the word a."""
-    a = tuple(a)
-    W.validate_word(a, d)
-    nvars = n * n * d
-    out = generic_matrix(n, d, p, a[0])
-    for k in a[1:]:
-        out = mat_mul(out, generic_matrix(n, d, p, k), n, nvars, p)
-    return out
+    return _prefix_products(n, d, p)(W.validate_word(tuple(a), d))
+
+
+def _prefix_products(n, d, p):
+    """A function a -> eval_word(n, d, a, p) that keeps the prefix products
+    of the last word and multiplies on from its longest common prefix with
+    the next: words in lexicographic order make each prefix product once."""
+    letters = [generic_matrix(n, d, p, k) for k in range(1, d + 1)]
+    stack = []  # (letter, product of the last word up to that letter)
+
+    def product_of(a):
+        keep = next((i for i, (k, (top, _)) in enumerate(zip(a, stack)) if k != top), len(a))
+        del stack[keep:]
+        for k in a[len(stack):]:
+            m = letters[k - 1]
+            stack.append((k, mat_mul(stack[-1][1], m, n, n * n * d, p) if stack else m))
+        return stack[-1][1]
+
+    return product_of
 
 
 def _det(rows, nvars, p):
@@ -236,16 +241,13 @@ def subalgebra_reduce(gens, targets, p=0, limits=None, spans=None):
 
     The targets share one X-multidegree delta (ValueError otherwise); this is
     the degreewise membership test in the graded ring (Derksen-Kemper,
-    Computational Invariant Theory, sec. 3).  Every product is g times a
-    product of the rest, so the span at delta is built recursively from the
-    rows g * b, for each multiplier g below delta and each b in the basis at
-    delta - g.xdeg, and then the generators at delta.  The basis keeps the
-    rows that raised the rank, and the multipliers are its generators: the
-    indecomposable ones.  Over Q, where the certified rank exceeds the rank
-    mod LIFT_PRIME, every row is kept.  spans, X-multidegree -> (basis,
-    multipliers), may be shared by calls with the same generators and p.
-    Each span has at most limits.max_component_words monomials.  Returns one
-    bool per target, in order.
+    Computational Invariant Theory, sec. 3).  The span at delta is built
+    recursively by _span from products of multipliers: the generators that
+    raise the rank at their own X-multidegree after all products there, the
+    indecomposable ones.  spans, X-multidegree -> (basis, multipliers, tags),
+    may be shared by calls with the same generators and p.  Each span has at
+    most limits.max_component_words monomials.  Returns one bool per target,
+    in order.
     """
     xdegs = {target.xdeg for target in targets}
     if len(xdegs) != 1:
@@ -263,28 +265,48 @@ def subalgebra_reduce(gens, targets, p=0, limits=None, spans=None):
 
 
 def _span(gens, xdeg, p, limits, spans):
-    """Build spans[xdeg] = (basis, multipliers) and the spans it needs below;
-    this build's (echelon, monomial index), or None if xdeg was built."""
+    """Build spans[xdeg] = (basis, multipliers, tags) and the spans it needs
+    below; this build's (echelon, monomial index), or None if xdeg was built.
+
+    With generators ordered by (total X-degree, position in gens), tags[i]
+    is the key of the smallest factor of basis[i], a generator at xdeg its
+    own.  A product of multipliers is h * m, h its smallest factor, so xdeg
+    is offered h * b for each multiplier h below and each b tagged >= h at
+    xdeg - h.xdeg, largest h first, then the generators at xdeg.  The basis
+    keeps the rows that raise the rank; in this order those tagged >= h span
+    the offered rows tagged >= h.  A kept generator is independent of all
+    products at xdeg, and one not kept is no multiplier, so no product needs
+    it.  Over Q, where the certified rank exceeds the rank mod LIFT_PRIME,
+    every row is kept with its tag.  The multipliers end the basis."""
     if xdeg in spans:
         return None
     limits.check_deadline(xdeg)
-    rows = []
+    groups = []  # (tag of h, multiplier h, xdeg - h.xdeg)
     for e in dict.fromkeys(g.xdeg for g in gens):
         if e != xdeg and all(map(le, e, xdeg)):
             _span(gens, e, p, limits, spans)
-            if spans[e][1]:
+            _, multipliers, tags = spans[e]
+            if multipliers:
                 rest = tuple(map(sub, xdeg, e))
                 _span(gens, rest, p, limits, spans)
-                rows.extend(g.poly * b for g in spans[e][1] for b in spans[rest][0])
-    own = [g for g in gens if g.xdeg == xdeg]
-    rows.extend(g.poly for g in own)
+                groups.extend(zip(tags[-len(multipliers):], multipliers, repeat(rest)))
+    rows, tags = [], []
+    for tag, h, rest in sorted(groups, key=itemgetter(0), reverse=True):
+        basis, _, rest_tags = spans[rest]
+        products = [h.poly * b for b, b_tag in zip(basis, rest_tags) if b_tag >= tag]
+        rows.extend(products)
+        tags.extend(repeat(tag, len(products)))
+    own = [(i, g) for i, g in enumerate(gens) if g.xdeg == xdeg]
+    rows.extend(g.poly for _, g in own)
+    tags.extend((sum(xdeg), i) for i, _ in own)
     ech, index, kept = _echelon(rows, xdeg, p, limits)
     if not p:
         ech.lift(lambda: limits.check_deadline(xdeg))
     if ech.rank != sum(kept):
         kept = [True] * len(rows)
-    spans[xdeg] = ([poly for poly, ok in zip(rows, kept) if ok],
-                   [g for g, ok in zip(own, kept[len(rows) - len(own):]) if ok])
+    spans[xdeg] = (list(compress(rows, kept)),
+                   [g for (_, g), ok in zip(own, kept[len(rows) - len(own):]) if ok],
+                   list(compress(tags, kept)))
     return ech, index
 
 
@@ -307,7 +329,8 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
     For every t and every word a of degree in (cap, cap + extra_deg], the
     invariant sigma_t(X_a) must reduce into products of the generators.
     Cases of one X-multidegree are decided together by one subalgebra_reduce
-    call; the calls share their product spans, so each is built once.
+    call; the calls share their product spans, so each is built once.  The
+    targets are made in word order, along one stack of prefix products.
     Returns a report with one entry per case, in the order of t, degree and
     word.  limits bounds the width of every span, and its deadline, fixed
     once and checked at each target and each span built, the whole check.
@@ -315,21 +338,27 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
     limits = (limits or DEFAULT_LIMITS).started()
     allgens = generator_set(n, d, p, c_source).all()
     cap_of = c_source or (lambda m: _default_degree_cap(m, d, p))
-    cases = []
-    groups = {}  # X-multidegree -> [(target, case)]
+    cases, words = [], []
     for t in range(1, n + 1):
         cap = cap_of(n // t)
         for deg in range(cap + 1, cap + extra_deg + 1):
             for rep in _cyclic_reps(deg, d):
-                limits.check_deadline(tuple(t * e for e in W.multidegree(rep, d)))
-                target = sigma_of_word(n, d, t, rep, p)
-                case = {"t": t, "word": W.format_word(rep), "deg": deg, "pass": None}
-                cases.append(case)
-                groups.setdefault(target.xdeg, []).append((target, case))
+                words.append(rep)
+                cases.append({"t": t, "word": W.format_word(rep), "deg": deg, "pass": None})
+    word_product = _prefix_products(n, d, p)
+    targets = [None] * len(cases)
+    for i in sorted(range(len(cases)), key=words.__getitem__):  # word order shares prefixes
+        t, rep = cases[i]["t"], words[i]
+        xdeg = tuple(t * e for e in W.multidegree(rep, d))
+        limits.check_deadline(xdeg)
+        targets[i] = InvariantPoly(sigma_poly(t, word_product(rep), p), xdeg, t, rep)
+    groups = {}  # X-multidegree -> [(target, case)], in the order of the cases
+    for target, case in zip(targets, cases):
+        groups.setdefault(target.xdeg, []).append((target, case))
     spans = {}
     for members in groups.values():
-        targets = [target for target, _ in members]
-        verdicts = subalgebra_reduce(allgens, targets, p, limits, spans)
+        group = [target for target, _ in members]
+        verdicts = subalgebra_reduce(allgens, group, p, limits, spans)
         for (_, case), ok in zip(members, verdicts):
             case["pass"] = bool(ok)
     return {
@@ -352,13 +381,8 @@ def newton_sigma_check(n, t, p=0):
     if p and t >= p:
         raise ValueError("Newton identities need t < p (got t=%d, p=%d)" % (t, p))
     nvars = n * n
-    X = generic_matrix(n, 1, p, 1)
-    power = X
-    ptr = {}
-    for i in range(1, t + 1):
-        ptr[i] = trace(power, p)
-        if i < t:
-            power = mat_mul(power, X, n, nvars, p)
+    power = _prefix_products(n, 1, p)
+    ptr = {i: trace(power((1,) * i), p) for i in range(1, t + 1)}
     e = {0: Poly.const(1, nvars, p)}
     for j in range(1, t + 1):
         acc = Poly.zero(nvars, p)
@@ -369,7 +393,7 @@ def newton_sigma_check(n, t, p=0):
             acc = acc + term
         inv_j = Fraction(1, j) if p == 0 else pow(j, -1, p)
         e[j] = acc.scale(inv_j)
-    return sigma_poly(t, X, p) == e[t]
+    return sigma_poly(t, generic_matrix(n, 1, p, 1), p) == e[t]
 
 
 # ----- numeric specialization helpers (conjugation invariance checks) -----

@@ -60,7 +60,9 @@ def test_nagata_higman_and_razmyslov():
     res7 = B.closed_form_bounds(6, 3, 7)
     assert "nagata_higman" in ids(res7)
     assert "razmyslov" not in ids(res7)
-    assert by_id["doubling_sharpened"] if "doubling_sharpened" in by_id else True
+    # the doubling bound needs p > n, so it is absent at p = 0
+    assert "doubling_sharpened" not in by_id
+    assert {b.formula_id: b for b in res7}["doubling_sharpened"].value_exact == 7 * 2**3 - 1
 
 
 def test_doubling_sharpened():

@@ -242,7 +242,7 @@ def test_multipliers_are_the_indecomposables_n2():
     gens = V.generator_set(2, 2, 0).all()
     assert len(gens) == 11
     spans = _spans_at(gens, 0, [(3, 3)])
-    multipliers = [(g.t, g.word) for _, kept in spans.values() for g in kept]
+    multipliers = [(g.t, g.word) for _, kept, _ in spans.values() for g in kept]
     assert sorted(multipliers) == [(1, (1,)), (1, (1, 1)), (1, (1, 2)), (1, (2,)), (1, (2, 2))]
 
 
@@ -277,7 +277,7 @@ def test_recursive_span_rank_matches_multiset_products(p):
                for c in rep["cases"]}
     spans = _spans_at(gens, p, sorted(targets))
     assert targets <= spans.keys()
-    for xdeg, (basis, _) in spans.items():
+    for xdeg, (basis, _, _) in spans.items():
         assert _rank(basis, p) == _rank(_multiset_products(gens, xdeg), p), xdeg
 
 
@@ -292,6 +292,64 @@ def test_q_span_keeps_rows_rejected_mod_lift_prime():
     spans = {}
     assert V.subalgebra_reduce([g1, g2], [target], spans=spans) == [True]
     assert spans[(1,)][1] == [g1, g2]
+
+
+def _span_builds(monkeypatch, n, d, p, extra_deg):
+    """X-multidegree -> (rows offered, whether each raised the rank) for each
+    span that one generation_check builds: the first elimination there."""
+    builds = {}
+    real = V._echelon
+
+    def spy(rows, xdeg, p, limits):
+        out = real(rows, xdeg, p, limits)
+        builds.setdefault(xdeg, (rows, out[2]))
+        return out
+
+    monkeypatch.setattr(V, "_echelon", spy)
+    V.generation_check(n, d, p, extra_deg)
+    return builds
+
+
+def test_span_offers_each_product_of_multipliers_once(monkeypatch):
+    # tr X, tr Y, tr X^2, tr XY, tr Y^2 are algebraically independent
+    # (Sibirskii 1968, Procesi 1976), so products offered once each are
+    # independent: only the decomposable generators can be rejected
+    gens = V.generator_set(2, 2, 0).all()
+    rejected = []
+    for xdeg, (rows, kept) in _span_builds(monkeypatch, 2, 2, 0, 4).items():
+        own = [g for g in gens if g.xdeg == xdeg]
+        assert all(kept[:len(rows) - len(own)]), xdeg
+        rejected += [(g.t, g.word) for g, ok in zip(own, kept[len(rows) - len(own):])
+                     if not ok]
+    assert sorted(rejected) == [(1, (1, 1, 1)), (1, (1, 1, 2)), (1, (1, 2, 2)),
+                                (1, (2, 2, 2)), (2, (1,)), (2, (2,))]
+
+
+@pytest.mark.parametrize("p, offered", [(0, 543), (2, 543), (3, 541)])
+def test_span_rows_offered_n2(monkeypatch, p, offered):
+    builds = _span_builds(monkeypatch, 2, 2, p, 4).values()
+    assert sum(len(rows) for rows, _ in builds) == offered
+    assert sum(sum(kept) for _, kept in builds) == 537
+
+
+def _word_product_reference(n, d, a, p):
+    """The generic matrices along a, multiplied one at a time from the left."""
+    out = V.generic_matrix(n, d, p, a[0])
+    for k in a[1:]:
+        out = V.mat_mul(out, V.generic_matrix(n, d, p, k), n, n * n * d, p)
+    return out
+
+
+def test_prefix_products_match_eval_word():
+    # prefixes of the previous word, a repeated word, changes of first letter
+    words = [(1, 2, 1), (1, 2), (1,), (1, 2, 1, 1), (1, 2, 1, 1), (2, 1), (2,), (3, 3, 1)]
+    rng = random.Random(7)
+    words += [tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5))) for _ in range(40)]
+    for p in (0, 3):
+        product_of = V._prefix_products(2, 3, p)
+        for a in words:
+            expected = _word_product_reference(2, 3, a, p)
+            assert product_of(a) == expected == V.eval_word(2, 3, a, p), (a, p)
 
 
 def test_newton_sigma_check():

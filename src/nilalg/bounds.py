@@ -294,7 +294,12 @@ def comparator_ratio_log10(n, d=2):
     return min(_belov_kharitonov_log10(n, d)) - half_log10
 
 
+def comparator_rows(n_start, n_stop, d):
+    """The rows (n, log10 ratio) of the comparator sweep, made one at a time."""
+    return ((n, comparator_ratio_log10(n, d)) for n in range(n_start, n_stop + 1))
+
+
 def comparator_table(n_start=4, n_stop=2000, d=2):
     """Rows (n, log10 ratio) for the comparator sweep, plus the minimum."""
-    rows = [(n, comparator_ratio_log10(n, d)) for n in range(n_start, n_stop + 1)]
+    rows = list(comparator_rows(n_start, n_stop, d))
     return {"rows": rows, "min_log10_ratio": min(r for _, r in rows)}

@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from pathlib import Path
 
 from . import bounds as B
 from . import ideal as I
@@ -90,8 +91,10 @@ def _read_expr(args, d, p):
     if getattr(args, "expr", None):
         text = args.expr
     elif getattr(args, "file", None):
-        with open(args.file) as fh:
-            text = fh.read()
+        try:
+            text = Path(args.file).read_text()
+        except OSError as exc:  # missing, a directory, unreadable
+            raise UsageError("cannot read --file %s: %s" % (args.file, exc.strerror))
     else:
         raise UsageError("one of --expr or --file is required")
     return parse_sum(text, d, p)
@@ -207,17 +210,16 @@ def run_invariants(args):
 def run_compare(args):
     if args.n < 4:
         raise UsageError("compare needs --n >= 4")
-    table = B.comparator_table(4, args.n, d=args.d)
-    rows = table["rows"]
-    argmin_n, min_ratio = min(rows, key=lambda r: r[1])
-    payload = {"d": args.d, "n_min": 4, "n_max": args.n,
-               "min_log10_ratio": min_ratio, "argmin_n": argmin_n}
+    rows = B.comparator_rows(4, args.n, args.d)  # made one at a time
     if args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", "log10_ratio"])
         for n, ratio in rows:
             writer.writerow([n, "%.6f" % ratio])
         return 0
+    argmin_n, min_ratio = min(rows, key=lambda r: r[1])
+    payload = {"d": args.d, "n_min": 4, "n_max": args.n,
+               "min_log10_ratio": min_ratio, "argmin_n": argmin_n}
     _emit(args, payload, [
         "comparator ratio, d=%d, n in [4, %d]" % (args.d, args.n),
         "min log10(comparator / ours) = %.3f at n = %d" % (min_ratio, argmin_n),

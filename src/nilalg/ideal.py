@@ -103,11 +103,12 @@ class Echelon:
     combination a @ table in one exact product; a row that does not vanish
     becomes a pivot at its first nonzero free column, by one rank-1 update of
     the table and one column drop.  add() says whether the rank mod q grew,
-    and rank is that rank until the reduced form is taken.  Over Q the offered
-    rows are also kept, scaled to integers.  The first read of rows, pivots,
-    rref_rows or (over Q) residual takes the reduced form, the sparse RREF rows
-    ((pivot, free columns...), (1, entries...)), in both fields.  Mod p it is
-    the table; over Q it is certified:
+    raised records that answer for every added row, and rank is the rank mod
+    q until the reduced form is taken.  Over Q the offered rows are also kept,
+    scaled to integers.  The first read of rows, pivots, rref_rows or residual
+    takes the reduced form, the sparse RREF rows ((pivot, free columns...),
+    (1, entries...)), in both fields.  Mod p it is the table; over Q it is
+    certified:
     1. take the RREF mod LIFT_PRIME;
     2. rationally reconstruct its entries, giving rows R;
     3. check exactly, in integers, that every offered row a equals the sum
@@ -117,8 +118,11 @@ class Echelon:
        by CRT the RREFs of the primes with the best pivot set so far (largest
        rank, then earliest pivots) and retry 2 and 3.
     A full rank mod LIFT_PRIME forces a full rank over Q: the RREF is the
-    identity and nothing is reconstructed.  Taking the reduced form drops the
-    table and the offered rows, and add() is refused after it.
+    identity and nothing is reconstructed.  Where the rank over Q exceeds the
+    rank mod LIFT_PRIME, the lift marks every row in raised; else the marked
+    rows, independent mod LIFT_PRIME and so over Q, span the offered rows.
+    Taking the reduced form drops the table and the offered rows, and add()
+    is refused after it.
     """
 
     def __init__(self, ncols, p):
@@ -137,6 +141,7 @@ class Echelon:
         self._terms = (2**63 - 1) // ((q - 1) * (min(q, 1 << 16) - 1))
         self._offered = []  # p = 0: the offered (columns, integers) rows
         self._reduced = None  # (rows, pivots) once taken
+        self.raised = []  # per added row: did it raise the rank mod q
 
     @property
     def rank(self):
@@ -156,6 +161,8 @@ class Echelon:
         may raise between steps."""
         if self._reduced is None:
             pivots, free, table = self._certified_rref(check or (lambda: None))
+            if len(pivots) > len(self._pivots):
+                self.raised = [True] * len(self.raised)
             self._reduced = (_rref_rows(pivots, free, table),
                              {c: i for i, c in enumerate(pivots)})
             self._pivots = self._free = self._slot = self._table = self._offered = None
@@ -247,6 +254,7 @@ class Echelon:
         q = self.q
         row = self._reduce(coeffs)
         nonzero = np.flatnonzero(row)
+        self.raised.append(bool(len(nonzero)))
         if not len(nonzero):
             return False
         j = nonzero[0]
@@ -276,11 +284,8 @@ class Echelon:
         return row
 
     def residual(self, coeffs):
-        """Exact residual of a vector as {column: field coefficient}.  Mod p
-        it is read from the live table until the reduced form is taken."""
-        if self.p and self._reduced is None:
-            row = self._reduce(coeffs)
-            return {int(self._free[j]): int(row[j]) for j in np.flatnonzero(row)}
+        """Exact residual of a vector as {column: field coefficient}, read
+        from the reduced form (taken first if need be)."""
         rows, pivots = self.lift()
         p = self.p
         out = {c: x for c, v in coeffs.items() if (x := coerce_coeff(v, p))}
@@ -302,13 +307,11 @@ class Echelon:
 class ComponentBasis:
     """Row-reduced span of the relation ideal's component at one multidegree."""
 
-    def __init__(self, n, d, p, delta, words, echelon, complement):
-        self.n = n
+    def __init__(self, d, p, words, index, echelon, complement):
         self.d = d
         self.p = p
-        self.delta = delta
         self.words = words
-        self.index = {w: i for i, w in enumerate(words)}
+        self.index = index  # word -> column
         self.echelon = echelon
         # (columns, coefficients) rows that with the left multiples of the
         # components one degree down span this one
@@ -349,7 +352,7 @@ def _component_words(delta, limits):
             "component %r has %d words, over the limit of %d"
             % (delta, count, limits.max_component_words)
         )
-    ws = W.enumerate_words(delta, limit=None)
+    ws = W.enumerate_words(delta)
     d = len(delta)
     ws.sort(key=lambda w: W.word_sort_key(w, d))
     return ws
@@ -373,19 +376,15 @@ def component_basis(n, d, p, delta, limits=None):
     index = {w: i for i, w in enumerate(ws)}
     ech = Echelon(len(ws), p)
     ncols = len(ws)
-    # the rows offered after the left multiples (kept over Q only), and
-    # those of them that raised the rank mod q
-    offered, complement = [], []
+    offered = []  # the rows offered after the left multiples
 
     def full():
         return ech.rank == ncols
 
     def offer(row):
         limits.check_deadline(delta)
-        if not p:
-            offered.append(row)
-        if ech.add(row):
-            complement.append(row)
+        offered.append(row)
+        ech.add(row)
 
     if sum(delta) >= n:
         # left multiples x_k * (RREF rows) of the components one degree down
@@ -419,14 +418,10 @@ def component_basis(n, d, p, delta, limits=None):
                 if full():
                     break
 
-    rank_mod_q = ech.rank
     ech.lift(lambda: limits.check_deadline(delta))
-    if ech.rank > rank_mod_q:
-        # over Q a row independent of the others vanished mod LIFT_PRIME:
-        # keep every row offered after the left block
-        complement = offered
-    complement = [(tuple(row), tuple(row.values())) for row in complement]
-    basis = ComponentBasis(n, d, p, delta, ws, ech, complement)
+    tail = zip(offered, ech.raised[len(ech.raised) - len(offered):])
+    complement = [(tuple(row), tuple(row.values())) for row, ok in tail if ok]
+    basis = ComponentBasis(d, p, ws, index, ech, complement)
     _cache[key] = basis
     return basis
 
@@ -587,20 +582,6 @@ def nilpotency_degree(n, d, p, max_deg, limits=None):
     return NilpotencyResult(n, d, p, None, max_deg, witness, log)
 
 
-_EQUIV_ORDERS = {"gtr", "succ"}
-
-
-def _class_key(w, d, order):
-    if order == "gtr":
-        return tuple(W.sorted_power(w, k) for k in range(1, d + 1))
-    return tuple(len(W.x_power(w, k)) for k in range(1, d + 1))
-
-
-def _strictly_greater(w, rep, d, order):
-    cmp = W.gtr_compare(w, rep, d) if order == "gtr" else W.succ_compare(w, rep, d)
-    return cmp == W.GREATER
-
-
 def equiv_zero(n, p, f, order, limits=None):
     """Is f equivalent to zero modulo words strictly greater in the order?
 
@@ -612,10 +593,9 @@ def equiv_zero(n, p, f, order, limits=None):
 def equiv_zero_certificate(n, p, f, order, limits=None):
     """(verdict, g): is f equivalent to zero modulo strictly greater words?
 
-    f is split into groups of mutually equivalent terms (same sorted run
-    vectors for order='gtr', same run counts for order='succ'); each group
-    must lie in the span of the ideal component together with the unit
-    vectors of all strictly greater words.  If all do, g is a combination
+    f is split into groups of mutually equivalent terms (same multidegree
+    and words.order_key); each group must lie in the span of the ideal
+    component together with the unit vectors of all strictly greater words.  If all do, g is a combination
     of strictly greater words with contains(f - g); otherwise g is None.
 
     Each group is decided on the component's RREF rows R_i (1 at pivot i,
@@ -630,34 +610,32 @@ def equiv_zero_certificate(n, p, f, order, limits=None):
     v_i (e_i + the greater part of R_i).  Strictly greater is decided only
     for the columns these steps read.
     """
-    if order not in _EQUIV_ORDERS:
-        raise ValueError("order must be 'gtr' or 'succ', got %r" % (order,))
+    W.order_key((), 0, order)  # refuses an unknown order, even for f = 0
     limits = (limits or DEFAULT_LIMITS).started()
     d = f.d
     groups = {}
     for w, c in f.terms.items():
-        key = (W.multidegree(w, d), _class_key(w, d, order))
+        key = (W.multidegree(w, d), W.order_key(w, d, order))
         groups.setdefault(key, {})[w] = c
     g = {}
-    for (delta, _), terms in groups.items():
+    for (delta, key), terms in groups.items():
         basis = component_basis(n, d, p, delta, limits)
-        part = _equiv_group(basis, terms, order)
+        part = _equiv_group(basis, terms, key, order)
         if part is None:
             return False, None
         accumulate(part, f.p, g)
     return True, FormalSum(g, d, f.p)
 
 
-def _equiv_group(basis, terms, order):
+def _equiv_group(basis, terms, key, order):
     """(word, coefficient) pairs of strictly greater words that one group of
-    equivalent terms is congruent to, or None if it is not equivalent to
-    zero."""
+    equivalent terms, all with order key key, is congruent to, or None if it
+    is not equivalent to zero."""
     words, d = basis.words, basis.d
-    rep = next(iter(terms))
 
     @cache
     def greater(c):
-        return _strictly_greater(words[c], rep, d, order)
+        return W.compare_keys(W.order_key(words[c], d, order), key) == W.GREATER
 
     part = basis.echelon.residual({basis.index[w]: c for w, c in terms.items()})
     out = [(words[c], v) for c, v in part.items() if greater(c)]

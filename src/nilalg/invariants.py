@@ -19,7 +19,7 @@ from .formal import SparseSum, accumulate, check_characteristic, coerce_coeff
 from .ideal import DEFAULT_LIMITS, Echelon, GuardError
 
 
-def var_index(n, d, i, j, k):
+def var_index(n, i, j, k):
     """Variable number of the (i, j) entry of the k-th generic matrix."""
     return ((k - 1) * n + i) * n + j
 
@@ -91,13 +91,13 @@ class Poly(SparseSum):
 def generic_matrix(n, d, p, k):
     nvars = n * n * d
     return [
-        [Poly.variable(var_index(n, d, i, j, k), nvars, p) for j in range(n)]
+        [Poly.variable(var_index(n, i, j, k), nvars, p) for j in range(n)]
         for i in range(n)
     ]
 
 
-def mat_mul(a, b, n, nvars, p):
-    zero = Poly.zero(nvars, p)
+def mat_mul(a, b):
+    n, zero = len(a), a[0][0]._like({})
     return [[sum((a[i][l] * b[l][j] for l in range(n)), zero) for j in range(n)]
             for i in range(n)]
 
@@ -119,14 +119,14 @@ def _prefix_products(n, d, p):
         del stack[keep:]
         for k in a[len(stack):]:
             m = letters[k - 1]
-            stack.append((k, mat_mul(stack[-1][1], m, n, n * n * d, p) if stack else m))
+            stack.append((k, mat_mul(stack[-1][1], m) if stack else m))
         return stack[-1][1]
 
     return product_of
 
 
-def _det(rows, nvars, p):
-    size = len(rows)
+def _det(rows):
+    size, (nvars, p) = len(rows), rows[0][0]._universe()
     out = Poly.zero(nvars, p)
     for perm in permutations(range(size)):
         inversions = sum(perm[i] > perm[j] for i, j in combinations(range(size), 2))
@@ -137,24 +137,20 @@ def _det(rows, nvars, p):
     return out
 
 
-def sigma_poly(t, M, p=0):
-    """Sum of the principal t x t minors of M (sigma_0 = 1)."""
+def sigma_poly(t, M):
+    """Sum of the principal t x t minors of M (sigma_0 = 1), in the universe
+    of M's entries."""
     n = len(M)
     if not (0 <= t <= n):
         raise ValueError("need 0 <= t <= %d, got %d" % (n, t))
-    nvars = M[0][0].nvars if n else 0
+    nvars, p = M[0][0]._universe()
     if t == 0:
         return Poly.const(1, nvars, p)
     out = Poly.zero(nvars, p)
     for rows in combinations(range(n), t):
         sub = [[M[i][j] for j in rows] for i in rows]
-        out = out + _det(sub, nvars, p)
+        out = out + _det(sub)
     return out
-
-
-def trace(M, p=0):
-    nvars = M[0][0].nvars
-    return sum((M[i][i] for i in range(len(M))), Poly.zero(nvars, p))
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,7 @@ def _default_degree_cap(m, d, p):
 
 def sigma_of_word(n, d, t, a, p=0):
     return InvariantPoly(
-        sigma_poly(t, eval_word(n, d, a, p), p),
+        sigma_poly(t, eval_word(n, d, a, p)),
         tuple(t * e for e in W.multidegree(a, d)),
         t,
         tuple(a),
@@ -246,8 +242,10 @@ def subalgebra_reduce(gens, targets, p=0, limits=None, spans=None):
     raise the rank at their own X-multidegree after all products there, the
     indecomposable ones.  spans, X-multidegree -> (basis, multipliers, tags),
     may be shared by calls with the same generators and p.  Each span has at
-    most limits.max_component_words monomials.  Returns one bool per target,
-    in order.
+    most limits.max_component_words monomials.  A target is tested against
+    the reduced form of the span's echelon, which _span lifts when it builds
+    the span here and which is taken at the first test otherwise.  Returns
+    one bool per target, in order.
     """
     xdegs = {target.xdeg for target in targets}
     if len(xdegs) != 1:
@@ -256,7 +254,7 @@ def subalgebra_reduce(gens, targets, p=0, limits=None, spans=None):
     limits = (limits or DEFAULT_LIMITS).started()
     spans = {} if spans is None else spans
     built = _span(gens, xdeg, p, limits, spans)
-    ech, index = built or _echelon(spans[xdeg][0], xdeg, p, limits)[:2]
+    ech, index = built or _echelon(spans[xdeg][0], xdeg, p, limits)
     return [
         index.keys() >= target.poly.terms.keys()
         and ech.contains({index[m]: c for m, c in target.poly.terms.items()})
@@ -276,8 +274,9 @@ def _span(gens, xdeg, p, limits, spans):
     keeps the rows that raise the rank; in this order those tagged >= h span
     the offered rows tagged >= h.  A kept generator is independent of all
     products at xdeg, and one not kept is no multiplier, so no product needs
-    it.  Over Q, where the certified rank exceeds the rank mod LIFT_PRIME,
-    every row is kept with its tag.  The multipliers end the basis."""
+    it.  The rows kept are those Echelon.raised marks after the lift: over
+    Q, where the certified rank exceeds the rank mod LIFT_PRIME, every row,
+    with its tag.  The multipliers end the basis."""
     if xdeg in spans:
         return None
     limits.check_deadline(xdeg)
@@ -299,11 +298,9 @@ def _span(gens, xdeg, p, limits, spans):
     own = [(i, g) for i, g in enumerate(gens) if g.xdeg == xdeg]
     rows.extend(g.poly for _, g in own)
     tags.extend((sum(xdeg), i) for i, _ in own)
-    ech, index, kept = _echelon(rows, xdeg, p, limits)
-    if not p:
-        ech.lift(lambda: limits.check_deadline(xdeg))
-    if ech.rank != sum(kept):
-        kept = [True] * len(rows)
+    ech, index = _echelon(rows, xdeg, p, limits)
+    ech.lift(lambda: limits.check_deadline(xdeg))
+    kept = ech.raised  # read after the lift
     spans[xdeg] = (list(compress(rows, kept)),
                    [g for (_, g), ok in zip(own, kept[len(rows) - len(own):]) if ok],
                    list(compress(tags, kept)))
@@ -311,7 +308,7 @@ def _span(gens, xdeg, p, limits, spans):
 
 
 def _echelon(rows, xdeg, p, limits):
-    """(echelon, monomial index, whether each row raised the rank)."""
+    """(echelon of the rows, monomial index)."""
     monomials = set().union(*(poly.terms for poly in rows))
     if len(monomials) > limits.max_component_words:
         raise GuardError(
@@ -320,7 +317,9 @@ def _echelon(rows, xdeg, p, limits):
         )
     index = {m: i for i, m in enumerate(sorted(monomials))}
     ech = Echelon(len(index), p)
-    return ech, index, [ech.add({index[m]: c for m, c in poly.terms.items()}) for poly in rows]
+    for poly in rows:
+        ech.add({index[m]: c for m, c in poly.terms.items()})
+    return ech, index
 
 
 def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
@@ -351,7 +350,7 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
         t, rep = cases[i]["t"], words[i]
         xdeg = tuple(t * e for e in W.multidegree(rep, d))
         limits.check_deadline(xdeg)
-        targets[i] = InvariantPoly(sigma_poly(t, word_product(rep), p), xdeg, t, rep)
+        targets[i] = InvariantPoly(sigma_poly(t, word_product(rep)), xdeg, t, rep)
     groups = {}  # X-multidegree -> [(target, case)], in the order of the cases
     for target, case in zip(targets, cases):
         groups.setdefault(target.xdeg, []).append((target, case))
@@ -380,20 +379,18 @@ def newton_sigma_check(n, t, p=0):
     power traces tr(X_1^i).  Requires t < p or p = 0."""
     if p and t >= p:
         raise ValueError("Newton identities need t < p (got t=%d, p=%d)" % (t, p))
-    nvars = n * n
     power = _prefix_products(n, 1, p)
-    ptr = {i: trace(power((1,) * i), p) for i in range(1, t + 1)}
-    e = {0: Poly.const(1, nvars, p)}
+    ptr = {i: sigma_poly(1, power((1,) * i)) for i in range(1, t + 1)}
+    e = {0: Poly.const(1, n * n, p)}
     for j in range(1, t + 1):
-        acc = Poly.zero(nvars, p)
+        acc = Poly.zero(n * n, p)
         for i in range(1, j + 1):
             term = e[j - i] * ptr[i]
             if i % 2 == 0:
                 term = -term
             acc = acc + term
-        inv_j = Fraction(1, j) if p == 0 else pow(j, -1, p)
-        e[j] = acc.scale(inv_j)
-    return sigma_poly(t, generic_matrix(n, 1, p, 1), p) == e[t]
+        e[j] = acc.scale(Fraction(1, j))  # 1/j mod p when p > t >= j
+    return sigma_poly(t, generic_matrix(n, 1, p, 1)) == e[t]
 
 
 # ----- numeric specialization helpers (conjugation invariance checks) -----
@@ -406,7 +403,7 @@ def matrix_values(n, d, matrices):
         A = matrices[k - 1]
         for i in range(n):
             for j in range(n):
-                values[var_index(n, d, i, j, k)] = A[i][j]
+                values[var_index(n, i, j, k)] = A[i][j]
     return values
 
 

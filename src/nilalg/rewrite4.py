@@ -61,16 +61,12 @@ def _exclusions_ok(vectors):
     return not (threes >= 2 and (3, 2, 1) in vectors)
 
 
-def cross_letter_ok(w, d=None):
+def cross_letter_ok(w, d):
     """Check the cross-letter exclusions on a word's run vectors."""
-    if d is None:
-        d = max(w)
     return _exclusions_ok([W.x_power(w, k) for k in range(1, d + 1)])
 
 
-def is_canonical_word(w, d=None):
-    if d is None:
-        d = max(w)
+def is_canonical_word(w, d):
     return (
         all(allowed_power_vector(W.x_power(w, k)) for k in range(1, d + 1))
         and cross_letter_ok(w, d)

@@ -1,10 +1,11 @@
 """Words of the free semigroup on d letters, multidegrees and power vectors.
 
 A word is a nonempty tuple of letter indices in 1..d.  The empty tuple ()
-plays the role of the unity and is accepted only by operations that say so
-explicitly.  Two partial orders on words are provided: the run-profile order
-``gtr_compare`` (compares sorted run-length vectors letter by letter) and the
-coarser run-count order ``succ_compare`` (compares only the number of runs).
+is no word: validate_word, enumerate_words and format_word refuse it.  Two
+partial orders on words are provided: the run-profile order ``gtr_compare``
+(compares sorted run-length vectors letter by letter) and the coarser
+run-count order ``succ_compare`` (compares only the number of runs).  Both
+compare the per-letter keys of ``order_key``.
 """
 
 from functools import lru_cache
@@ -17,22 +18,16 @@ INCOMPARABLE = "incomparable"
 PW_EQUIVALENT = "pw_equivalent"
 PROFILE_EQUIVALENT = "profile_equivalent"
 
-DEFAULT_WORD_LIMIT = 200_000
-
 
 class WordError(ValueError):
     pass
 
 
-class EnumerationLimitError(RuntimeError):
-    """Raised when a word enumeration would exceed the configured limit."""
-
-
-def validate_word(w, d, allow_empty=False):
-    """Check that w is a tuple of letter indices in 1..d."""
+def validate_word(w, d):
+    """Check that w is a nonempty tuple of letter indices in 1..d."""
     if not isinstance(w, tuple):
         raise WordError("word must be a tuple of letter indices, got %r" % (w,))
-    if len(w) == 0 and not allow_empty:
+    if len(w) == 0:
         raise WordError("empty word not allowed here")
     for k in w:
         if not isinstance(k, int) or not (1 <= k <= d):
@@ -94,16 +89,25 @@ def compare_power(a, b):
     return GREATER if ka > kb else LESS
 
 
-def _per_letter_compare(a, b, d, key):
-    """Product comparison of key(letter) over all letters.
+def order_key(w, d, order):
+    """The per-letter key that order compares, for letters 1..d: the
+    power_sort_key of each sorted run vector for "gtr", minus each run count
+    for "succ" (fewer runs is greater)."""
+    if order == "gtr":
+        return tuple(power_sort_key(sorted_power(w, k)) for k in range(1, d + 1))
+    if order == "succ":
+        return tuple(-len(x_power(w, k)) for k in range(1, d + 1))
+    raise ValueError("order must be 'gtr' or 'succ', got %r" % (order,))
 
-    Returns GREATER/LESS if one word dominates the other with at least one
+
+def compare_keys(a, b):
+    """Product comparison of two order_key values, letter by letter.
+
+    Returns GREATER/LESS if one key dominates the other with at least one
     strict inequality, EQUAL when all letters tie, INCOMPARABLE otherwise.
     """
     up = down = False
-    for k in range(1, d + 1):
-        ca = key(a, k)
-        cb = key(b, k)
+    for ca, cb in zip(a, b):
         if ca > cb:
             up = True
         elif ca < cb:
@@ -124,7 +128,7 @@ def gtr_compare(a, b, d):
     one of b and at least one is strictly greater; PW_EQUIVALENT when all
     sorted run vectors agree.
     """
-    res = _per_letter_compare(a, b, d, lambda w, k: power_sort_key(sorted_power(w, k)))
+    res = compare_keys(order_key(a, d, "gtr"), order_key(b, d, "gtr"))
     return PW_EQUIVALENT if res == EQUAL else res
 
 
@@ -134,7 +138,7 @@ def succ_compare(a, b, d):
     Fewer runs is greater.  PROFILE_EQUIVALENT when the run counts agree for
     every letter.
     """
-    res = _per_letter_compare(a, b, d, lambda w, k: -len(x_power(w, k)))
+    res = compare_keys(order_key(a, d, "succ"), order_key(b, d, "succ"))
     return PROFILE_EQUIVALENT if res == EQUAL else res
 
 
@@ -153,20 +157,16 @@ def word_count(delta):
     return count
 
 
-def enumerate_words(delta, limit=DEFAULT_WORD_LIMIT):
+def enumerate_words(delta):
     """All words of multidegree delta in lexicographic order on letters.
 
-    Raises EnumerationLimitError when the multinomial count exceeds limit.
+    The caller bounds the count: ideal checks word_count against its
+    Limits before it enumerates a component.
     """
     if sum(delta) < 1:
         raise WordError("multidegree must have total degree >= 1")
     if any(e < 0 for e in delta):
         raise WordError("multidegree entries must be nonnegative")
-    if limit is not None and word_count(delta) > limit:
-        raise EnumerationLimitError(
-            "component of multidegree %r has %d words, limit %d"
-            % (delta, word_count(delta), limit)
-        )
     return list(_words_rec(tuple(delta)))
 
 

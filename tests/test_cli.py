@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -59,6 +60,21 @@ def test_member_from_file(tmp_path, capsys):
                        "--file", str(path), "--json")
     assert code == 0
     assert json.loads(out)["member"] is True
+
+
+@pytest.mark.parametrize("command", [
+    ("member", "--n", "4", "--d", "2"),
+    ("equiv", "--n", "4", "--d", "2"),
+    ("reduce4", "--d", "2"),
+])
+def test_unreadable_file_refused(tmp_path, capsys, command):
+    # a missing path or a directory used to end in a traceback with exit 1,
+    # the code of a breached guard
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run(capsys, *command, "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot read --file %s" % path)
 
 
 def test_equiv_certificate(capsys):
@@ -132,6 +148,19 @@ def test_compare(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["min_log10_ratio"] >= 20
+
+
+def test_compare_runs_in_constant_memory(capsys):
+    # the rows are made one at a time, not kept in a list of all n
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "compare", "--n", "50000", "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["n_max"] == 50000
+    assert peak < 1_000_000
 
 
 def test_invariants_gen_check(capsys):

@@ -206,13 +206,18 @@ def _residual_reference(ref, v, p):
     return v
 
 
+def _greater(u, w, d, order):
+    """Is word u strictly greater than word w in the order?"""
+    return W.compare_keys(W.order_key(u, d, order), W.order_key(w, d, order)) == W.GREATER
+
+
 def _equiv_zero_oracle(n, p, f, order):
     """Reference verdict: each group of equivalent terms must lie in the span
     of the component's rows plus the unit vectors of its greater words, by
     Gauss-Jordan elimination outside the kernel under test."""
     groups = {}
     for w, c in f.terms.items():
-        key = (W.multidegree(w, f.d), I._class_key(w, f.d, order))
+        key = (W.multidegree(w, f.d), W.order_key(w, f.d, order))
         groups.setdefault(key, {})[w] = c
     for (delta, _), terms in groups.items():
         rep = next(iter(terms))
@@ -222,7 +227,7 @@ def _equiv_zero_oracle(n, p, f, order):
                 for row in basis.echelon.rref_rows()]
         rows += [[int(j == i) for j in range(ncols)]
                  for i, w in enumerate(basis.words)
-                 if I._strictly_greater(w, rep, f.d, order)]
+                 if _greater(w, rep, f.d, order)]
         target = [terms.get(w, 0) for w in basis.words]
         if any(_residual_reference(_rref_reference(rows, p), target, p)):
             return False
@@ -264,7 +269,7 @@ def test_equiv_certificate_matches_oracle(clean_cache, case, p, order, data):
     for u in g.terms:
         assert any(
             W.multidegree(w, d) == W.multidegree(u, d)
-            and I._strictly_greater(u, w, d, order)
+            and _greater(u, w, d, order)
             for w in f.terms
         ), (format_sum(f), format_sum(g))
 
@@ -276,7 +281,7 @@ def _equiv_tagged_reference(n, p, f, order):
     non-pivot columns plus one tag column each."""
     groups = {}
     for w, c in f.terms.items():
-        key = (W.multidegree(w, f.d), I._class_key(w, f.d, order))
+        key = (W.multidegree(w, f.d), W.order_key(w, f.d, order))
         groups.setdefault(key, {})[w] = c
     for (delta, _), terms in groups.items():
         rep = next(iter(terms))
@@ -286,7 +291,7 @@ def _equiv_tagged_reference(n, p, f, order):
         free = {c: k for k, c in enumerate(c for c in range(len(basis.words))
                                            if c not in pivots)}
         greater = [i for i, w in enumerate(basis.words)
-                   if I._strictly_greater(w, rep, f.d, order)]
+                   if _greater(w, rep, f.d, order)]
         ech = I.Echelon(len(free) + len(greater), p)
         for j, i in enumerate(greater):
             row = {free[c]: v for c, v in component.residual({i: 1}).items()}
@@ -331,8 +336,8 @@ def test_touching_rows_match_tagged_reference(clean_cache, monkeypatch, delta, p
     reached = list(islice((f for f in singles if certificate(f)[1]), 2))
     cases = reached + [reached[0] + reached[1].scale(2)]
     for f in reached:
-        key = I._class_key(next(iter(f.terms)), d, order)
-        group = [w for w in basis.words if I._class_key(w, d, order) == key]
+        key = W.order_key(next(iter(f.terms)), d, order)
+        group = [w for w in basis.words if W.order_key(w, d, order) == key]
         cases.append(f + FormalSum({rng.choice(group): 1}, d, p))
     if delta == (4, 2, 2):
         cases.append(S("x1.x2.x1^3.x3.x2.x3", d, p))
@@ -346,7 +351,7 @@ def test_touching_rows_match_tagged_reference(clean_cache, monkeypatch, delta, p
             assert g is None
             continue
         assert I.contains(n, p, f - g)
-        assert all(any(I._strictly_greater(u, w, d, order) for w in f.terms)
+        assert all(any(_greater(u, w, d, order) for w in f.terms)
                    for u in g.terms)
     assert seen == verdicts
 
@@ -561,8 +566,9 @@ def _residue(x, p):
 )), st.randoms(use_true_random=False))
 def test_q_echelon_matches_reference(p, case, rng):
     # the same checks over Q (the certified lift) and over F_p (the live
-    # table, and its sparse residual); the rows fed again in shuffled order,
-    # each with its columns shuffled, give the same reduced form
+    # table, and its sparse residual, in int entries); the rows fed again in
+    # shuffled order, each with its columns shuffled, give the same reduced
+    # form
     rows, target = case
     ech = I.Echelon(len(target), p)
     grew = sum(ech.add(dict(enumerate(r))) for r in rows)
@@ -572,9 +578,10 @@ def test_q_echelon_matches_reference(p, case, rng):
     assert ech.rank == len(ref)
     assert sorted(ech.pivots) == [min(r) for r in expected]
     resid = _residual_reference(ref, [_residue(x, p) for x in target], p)
-    assert ech.residual(dict(enumerate(target))) == {
-        j: x for j, x in enumerate(resid) if x
-    }
+    got = ech.residual(dict(enumerate(target)))
+    assert got == {j: x for j, x in enumerate(resid) if x}
+    if p:
+        assert all(type(c) is int and type(v) is int for c, v in got.items())
     assert ech.contains(dict(enumerate(target))) == (not any(resid))
     shuffled = I.Echelon(len(target), p)
     rows = [list(enumerate(r)) for r in rows]
@@ -583,25 +590,6 @@ def test_q_echelon_matches_reference(p, case, rng):
         rng.shuffle(r)
     assert sum(shuffled.add(dict(r)) for r in rows) == grew
     assert shuffled.rref_rows() == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([5, 7, _LARGEST_PRIME]), st.integers(1, 8).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(_Q_ENTRIES, min_size=n, max_size=n), max_size=9),
-    st.lists(st.lists(_Q_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=4),
-)))
-def test_modp_live_residual_matches_reduced_form(p, case):
-    # mod p, residual reads the live table until the reduced form is taken;
-    # it gives the residual of the reduced form, and takes nothing
-    rows, targets = case
-    ech = I.Echelon(len(targets[0]), p)
-    for r in rows:
-        ech.add(dict(enumerate(r)))
-    live = [ech.residual(dict(enumerate(t))) for t in targets]
-    assert ech._reduced is None
-    ech.lift()
-    assert [ech.residual(dict(enumerate(t))) for t in targets] == live
-    assert all(type(c) is int and type(v) is int for r in live for c, v in r.items())
 
 
 def _record_lift_primes(monkeypatch):
@@ -630,6 +618,18 @@ def test_q_echelon_rank_drop_mod_lift_prime(monkeypatch):
     assert ech.rank == 2
     assert ech.residual({0: 3, 1: Fraction(5, 2)}) == {}
     assert len(used) >= 2 and used[0] == I.LIFT_PRIME
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_echelon_records_rows_that_raised_the_rank(p):
+    # the rank-drop case: mod LIFT_PRIME the rows are (0, 1) twice, so over Q
+    # the lift marks both rows; mod 7 they are (1, 1) and (0, 1), and the
+    # record is what add returned, before and after the reduced form
+    ech = I.Echelon(2, p)
+    grew = [ech.add({0: I.LIFT_PRIME, 1: 1}), ech.add({1: 1})]
+    assert ech.raised == grew == ([True, False] if p == 0 else [True, True])
+    ech.lift()
+    assert ech.raised == [True, True]
 
 
 def test_q_echelon_crt_beyond_one_prime(monkeypatch):

@@ -16,11 +16,18 @@ def test_sigma_trace_and_det_n2():
     X = V.generic_matrix(2, 1, 0, 1)
     s1 = V.sigma_poly(1, X)
     s2 = V.sigma_poly(2, X)
-    assert s1 == V.trace(X)
+    assert s1 == X[0][0] + X[1][1]
     # det of [[a,b],[c,d]] = ad - bc: evaluate at numbers
     vals = V.matrix_values(2, 1, [[[3, 5], [7, 11]]])
     assert s2.evaluate(vals) == 3 * 11 - 5 * 7
     assert V.sigma_poly(0, X).evaluate(vals) == 1
+
+
+def test_sigma_poly_keeps_the_entries_universe():
+    # over F_3, sigma_0 is 1 in F_3 and sigma_1 is the trace, with no p passed
+    X = V.generic_matrix(2, 1, 3, 1)
+    assert V.sigma_poly(0, X).p == 3
+    assert V.sigma_poly(1, X) == X[0][0] + X[1][1]
 
 
 def test_sigma_char_poly_coefficients():
@@ -62,8 +69,8 @@ def test_cyclic_invariance_of_sigma():
     pairs = [((1, 2), (2, 1)), ((1, 1, 2), (1, 2, 1)), ((1, 2, 2), (2, 2, 1))]
     for a, b in pairs:
         for t in (1, 2):
-            fa = V.sigma_poly(t, V.eval_word(2, 2, a), 0)
-            fb = V.sigma_poly(t, V.eval_word(2, 2, b), 0)
+            fa = V.sigma_poly(t, V.eval_word(2, 2, a))
+            fb = V.sigma_poly(t, V.eval_word(2, 2, b))
             assert fa == fb, (a, b, t)
 
 
@@ -295,19 +302,20 @@ def test_q_span_keeps_rows_rejected_mod_lift_prime():
 
 
 def _span_builds(monkeypatch, n, d, p, extra_deg):
-    """X-multidegree -> (rows offered, whether each raised the rank) for each
-    span that one generation_check builds: the first elimination there."""
+    """X-multidegree -> (rows offered, whether each was kept) for each span
+    that one generation_check builds: the first elimination there, and its
+    Echelon.raised after the lift."""
     builds = {}
     real = V._echelon
 
     def spy(rows, xdeg, p, limits):
         out = real(rows, xdeg, p, limits)
-        builds.setdefault(xdeg, (rows, out[2]))
+        builds.setdefault(xdeg, (rows, out[0]))
         return out
 
     monkeypatch.setattr(V, "_echelon", spy)
     V.generation_check(n, d, p, extra_deg)
-    return builds
+    return {xdeg: (rows, ech.raised) for xdeg, (rows, ech) in builds.items()}
 
 
 def test_span_offers_each_product_of_multipliers_once(monkeypatch):
@@ -336,7 +344,7 @@ def _word_product_reference(n, d, a, p):
     """The generic matrices along a, multiplied one at a time from the left."""
     out = V.generic_matrix(n, d, p, a[0])
     for k in a[1:]:
-        out = V.mat_mul(out, V.generic_matrix(n, d, p, k), n, n * n * d, p)
+        out = V.mat_mul(out, V.generic_matrix(n, d, p, k))
     return out
 
 

@@ -134,11 +134,6 @@ def test_word_count_and_enumeration():
         assert len(W.enumerate_words(delta)) == W.word_count(delta)
 
 
-def test_enumeration_limit_guard():
-    with pytest.raises(W.EnumerationLimitError):
-        W.enumerate_words((10, 10, 10), limit=100)
-
-
 @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=8))
 def test_roundtrip_words_property(letters):
     w = tuple(letters)

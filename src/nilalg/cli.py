@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 runtime guard breached, 2 usage error.
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -257,6 +258,11 @@ def main(argv=None):
             print(json.dumps(getattr(exc.partial, "to_json", lambda: exc.partial)(),
                              sort_keys=True), file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout early (say, `| head`): not a failure; stdout
+        # goes to devnull so that the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

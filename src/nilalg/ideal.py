@@ -10,7 +10,8 @@ each child's complement only, the rows that raised its rank after its own
 left multiples: the rest, L_{delta-e_k} x_k, lies in sum_j x_j I_{delta-e_j}.
 The unbordered instances that lead a letter-moving relation are skipped
 (polarize): the relation puts each in the span of the kept instances and
-the letter multiples.
+the letter multiples.  Left multiples still reduced in the parent's word
+order enter the table in one step (Echelon.seed); other rows are reduced.
 
 Rows are reduced by one kernel (Echelon): the RREF mod p,
 kept live as an int64 table of rank x free columns that reduces each new row
@@ -104,11 +105,12 @@ class Echelon:
     becomes a pivot at its first nonzero free column, by one rank-1 update of
     the table and one column drop.  add() says whether the rank mod q grew,
     raised records that answer for every added row, and rank is the rank mod
-    q until the reduced form is taken.  Over Q the offered rows are also kept,
-    scaled to integers.  The first read of rows, pivots, rref_rows or residual
-    takes the reduced form, the sparse RREF rows ((pivot, free columns...),
-    (1, entries...)), in both fields.  Mod p it is the table; over Q it is
-    certified:
+    q until the reduced form is taken.  A table row is zero on the free
+    columns before its pivot, so seed() inserts reduced rows as they are.
+    Over Q the offered rows are also kept, scaled to integers.  The first read
+    of rows, pivots, rref_rows or residual takes the reduced form, the sparse
+    RREF rows ((pivot, free columns...), (1, entries...)), in both fields.
+    Mod p it is the table; over Q it is certified:
     1. take the RREF mod LIFT_PRIME;
     2. rationally reconstruct its entries, giving rows R;
     3. check exactly, in integers, that every offered row a equals the sum
@@ -247,10 +249,7 @@ class Echelon:
         if self._reduced is not None:
             raise ValueError("cannot add a row after the reduced form is taken")
         if not self.p:
-            # kept as integers: times the common denominator of the row
-            den = lcm(*(v.denominator for v in coeffs.values()))
-            coeffs = {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()}
-            self._offered.append((tuple(coeffs), tuple(coeffs.values())))
+            coeffs = dict(zip(coeffs, self._offer(coeffs, coeffs.values())))
         q = self.q
         row = self._reduce(coeffs)
         nonzero = np.flatnonzero(row)
@@ -259,15 +258,46 @@ class Echelon:
             return False
         j = nonzero[0]
         row = row * pow(int(row[j]), -1, q) % q
-        # clear the new pivot's column out of the table, then drop it
+        # clear the new pivot's column out of the table
         column = self._table[:, j]
         hit = np.flatnonzero(column)
         self._table[hit] = (self._table[hit] - np.outer(column[hit], row)) % q
-        self._table = np.delete(np.vstack([self._table, row]), j, axis=1)
-        self._slot[self._free[j]] = len(self._pivots)
-        self._pivots.append(int(self._free[j]))
-        self._free = np.delete(self._free, j)
+        self._insert([j], row[None])
         return True
+
+    def seed(self, rows):
+        """Insert rows (columns, coefficients) already reduced, at once: each
+        has 1 at its first column, a free column before its others where no
+        other row has an entry, and none at a held pivot.  As in add(), each
+        is recorded in raised, with FieldError and ValueError."""
+        if self._reduced is not None:
+            raise ValueError("cannot add a row after the reduced form is taken")
+        block = np.zeros((len(rows), len(self._free)), dtype=np.int64)
+        i, cols, vals = [], [], []
+        for r, (c, v) in enumerate(rows):
+            i += [r] * len(c)
+            cols += c
+            vals += [coerce_coeff(x, self.q) for x in v]
+            if not self.p:
+                self._offer(c, v)
+        block[i, np.searchsorted(self._free, cols)] = vals
+        self._insert(np.searchsorted(self._free, [c[0] for c, _ in rows]), block)
+        self.raised += [True] * len(rows)
+
+    def _offer(self, cols, vals):
+        """Keep a row over Q as integers, times its common denominator."""
+        den = lcm(*(v.denominator for v in vals))
+        vals = tuple(v.numerator * (den // v.denominator) for v in vals)
+        self._offered.append((tuple(cols), vals))
+        return vals
+
+    def _insert(self, at, rows):
+        """Append rows on the free columns, pivots at positions at of them."""
+        pivots = self._free[at]
+        self._slot[pivots] = np.arange(len(self._pivots), len(self._pivots) + len(at))
+        self._pivots += pivots.tolist()
+        self._table = np.delete(np.vstack([self._table, rows]), at, axis=1)
+        self._free = np.delete(self._free, at)
 
     def _reduce(self, coeffs):
         """The residual mod q of a row {column: coefficient}, on free columns."""
@@ -399,11 +429,21 @@ def component_basis(n, d, p, delta, limits=None):
                 continue
             child = component_basis(n, d, p, child_delta, limits)
             children.append((k + 1, child))
-            for row in child.echelon.rows:
-                if full():
-                    break
-                limits.check_deadline(delta)
-                ech.add({index[(k + 1,) + child.words[c]]: v for c, v in zip(*row)})
+            # x_k times the child's RREF rows.  A row whose shifted pivot is
+            # still its smallest column here is already reduced: it is zero at
+            # the child's other pivots, and the blocks of different k share no
+            # column.  The table keeps every row zero on the free columns
+            # before its pivot (a later pivot f only alters rows with pivots
+            # before f), so such rows enter it in one step, unreduced.
+            # Prefixing x_k does not keep the word order, so the rest, whose
+            # smallest column is another, are added one at a time.
+            shift = [index[(k + 1,) + w] for w in child.words]
+            rows = [([shift[c] for c in cols], vals) for cols, vals in child.echelon.rows]
+            ech.seed([row for row in rows if min(row[0]) == row[0][0]])
+            for cols, vals in rows:
+                if min(cols) != cols[0] and not full():
+                    limits.check_deadline(delta)
+                    ech.add(dict(zip(cols, vals)))
         # right multiples of each child's complement only: the child's left
         # multiples times x_k are left multiples here, offered above
         for letter, child in children:

@@ -180,12 +180,31 @@ def test_invariants_gen_check_guards(capsys, flag):
     assert err.startswith("guard breached: ")
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_CHILD_ENV = dict(os.environ, PYTHONPATH=_SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+_CLI = [sys.executable, "-m", "nilalg.cli"]
+
+
 def _run_child(*argv):
     """The CLI in a child process, killed after 60 s."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, "-m", "nilalg.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run(_CLI + list(argv), env=_CHILD_ENV, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_reader_closing_stdout_early_is_not_an_error():
+    # compare --n 50000 writes about 1 MB, more than a pipe holds: once the
+    # reader has gone, a write fails with a broken pipe, and the CLI must end
+    # quietly with exit 0 (1 is a breached guard)
+    child = subprocess.Popen(_CLI + ["compare", "--n", "50000", "--csv"], env=_CHILD_ENV,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "n,log10_ratio\n"
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode == 0
+    assert err == ""
 
 
 def test_invariants_gen_check_timeout_n3():

@@ -632,6 +632,60 @@ def test_echelon_records_rows_that_raised_the_rank(p):
     assert ech.raised == [True, True]
 
 
+def _seed_case(rng, ncols):
+    """(held, reduced, rest): rows on the columns below a split, RREF rows
+    (columns, coefficients) on the columns above it, and rows anywhere."""
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+
+    split = rng.randint(0, ncols - 1)
+    held = [{c: entry() for c in range(split)} for _ in range(rng.randint(0, 3))]
+    pivots = sorted(rng.sample(range(split, ncols), rng.randint(1, ncols - split)))
+    reduced = []
+    for c in pivots:
+        cols = [c] + [j for j in range(c + 1, ncols) if j not in pivots and rng.random() < 0.6]
+        reduced.append((cols, [1] + [entry() for _ in cols[1:]]))
+    rest = [{c: entry() for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+            for _ in range(rng.randint(0, 4))]
+    return held, reduced, rest
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_echelon_seed_matches_add(p):
+    # seeding rows already in reduced form, after rows on other columns and
+    # before any others, leaves the echelon as adding each row would
+    rng = random.Random(p)
+    for _ in range(200):
+        ncols = rng.randint(1, 9)
+        held, reduced, rest = _seed_case(rng, ncols)
+        added, seeded = I.Echelon(ncols, p), I.Echelon(ncols, p)
+        for row in held:
+            added.add(row)
+            seeded.add(row)
+        for cols, vals in reduced:
+            added.add(dict(zip(cols, vals)))
+        seeded.seed(reduced)
+        for row in rest:
+            added.add(row)
+            seeded.add(row)
+        assert (seeded.rank, seeded.raised) == (added.rank, added.raised)
+        # over Q the lift certifies the seeded rows too
+        assert seeded._offered == added._offered
+        assert (seeded.rows, seeded.pivots) == (added.rows, added.pivots)
+        assert (seeded.rank, seeded.raised) == (added.rank, added.raised)
+
+
+def test_echelon_seed_refusals():
+    ech = I.Echelon(3, 0)
+    ech.seed([((0, 2), (1, Fraction(1, 2)))])
+    ech.lift()
+    with pytest.raises(ValueError):
+        ech.seed([((1,), (1,))])
+    # 1/7 has no residue mod 7
+    with pytest.raises(FieldError):
+        I.Echelon(3, 7).seed([((0, 2), (1, Fraction(1, 7)))])
+
+
 def test_q_echelon_crt_beyond_one_prime(monkeypatch):
     # 100019/100003 has numerator and denominator above sqrt(P/2), so no
     # single prime reconstructs it: the lift combines primes by CRT
@@ -718,6 +772,33 @@ def test_component_rrefs_pinned(clean_cache, build, p, digest):
     else:
         I.component_basis(5, 2, p, (5, 5))
     assert _rref_digest() == digest
+
+
+def test_left_multiples_seeded_or_added(monkeypatch, clean_cache):
+    # C(4,2,0) seeds the left multiples whose shifted pivot stays first and
+    # adds the rest (the violators) with the other rows, one call per row;
+    # each of the 778 + 1 213 = 1 991 rows takes exactly one of the two
+    events = []  # (echelon, "add" or the number of rows seeded)
+    add, seed = I.Echelon.add, I.Echelon.seed
+
+    def counted_add(self, row):
+        events.append((self, "add"))
+        return add(self, row)
+
+    def counted_seed(self, rows):
+        events.append((self, len(rows)))
+        return seed(self, rows)
+
+    monkeypatch.setattr(I.Echelon, "add", counted_add)
+    monkeypatch.setattr(I.Echelon, "seed", counted_seed)
+    I.clear_cache()
+    assert I.nilpotency_degree(4, 2, 0, 11).degree == 10
+    seeds = [(i, ech, k) for i, (ech, k) in enumerate(events) if k != "add"]
+    assert len(events) - len(seeds) == 778
+    assert sum(k for _, _, k in seeds) == 1213
+    # a violator of x_1's block is added before x_2's block is seeded
+    last_seed = {ech: i for i, ech, _ in seeds}
+    assert any(k == "add" and i < last_seed.get(ech, -1) for i, (ech, k) in enumerate(events))
 
 
 def test_q_complement_keeps_rows_lost_mod_lift_prime(monkeypatch, clean_cache):

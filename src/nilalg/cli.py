@@ -82,8 +82,7 @@ def build_parser():
 
 def _limits(args):
     """The command's limits, with its one deadline already running."""
-    return I.Limits(max_component_words=args.limit_rows,
-                    timeout_sec=args.timeout_sec).started()
+    return I.Limits(max_component_words=args.limit_rows, timeout_sec=args.timeout_sec)
 
 
 def _read_expr(args, d, p):

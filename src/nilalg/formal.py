@@ -216,57 +216,32 @@ class FormalSum(SparseSum):
         return format_sum(self)
 
 
-_TOKEN = re.compile(r"\s*([+-]|\d+/\d+|\d+|x[0-9^.x]*)")
-_STAR = re.compile(r"\s*\*\s*")
+# one term: an optional sign, an optional coefficient INT or INT/INT and '*',
+# and a word; parse_sum requires the sign on every term after the first
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?(x[0-9^.x]*)\s*")
 
 
 def parse_sum(text, d, p):
-    """Parse ``expr := term (('+'|'-') term)*`` with optional coefficients.
+    """Parse ``expr := ['+'|'-'] term (('+'|'-') term)*``.
 
     A term is ``[coeff '*'] word`` where coeff is INT or INT/INT and word
     uses the x1^2.x2 syntax.
     """
+    if not text.strip():
+        raise W.WordError("empty formal-sum text")
     items = []
     pos = 0
-    sign = 1
-    text = text.strip()
-    if not text:
-        raise W.WordError("empty formal-sum text")
-    expect_term = True  # a leading sign is allowed, then strict alternation
-    first = True
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
+        m = _TERM.match(text, pos)
+        if not m or (pos and not m.group(1)):
             raise W.WordError("parse error at %r" % text[pos:])
-        tok = m.group(1)
+        sign, coeff, word = m.groups()
+        try:
+            c = Fraction(coeff or 1)
+        except ZeroDivisionError:
+            raise W.WordError("zero denominator in %r" % coeff) from None
+        items.append((W.parse_word(word, d), coerce_coeff(-c if sign == "-" else c, p)))
         pos = m.end()
-        if tok in "+-":
-            if expect_term and not first:
-                raise W.WordError("two signs in a row in %r" % text)
-            sign = 1 if tok == "+" else -1
-            expect_term = True
-            first = False
-            continue
-        if not expect_term:
-            raise W.WordError("missing '+' or '-' before %r" % tok)
-        first = False
-        expect_term = False
-        coeff = Fraction(sign)
-        if tok[0] != "x":
-            coeff *= Fraction(tok)
-            m2 = _STAR.match(text, pos)
-            if not m2:
-                raise W.WordError("expected '*' after coefficient in %r" % text)
-            pos = m2.end()
-            m = _TOKEN.match(text, pos)
-            if not m or m.group(1)[0] != "x":
-                raise W.WordError("expected word after coefficient in %r" % text)
-            tok = m.group(1)
-            pos = m.end()
-        items.append((W.parse_word(tok, d), coerce_coeff(coeff, p)))
-        sign = 1
-    if expect_term:
-        raise W.WordError("dangling sign at the end of %r" % text)
     return FormalSum(accumulate(items, p), d, p, _normalized=True)
 
 

@@ -25,7 +25,7 @@ parents, residuals and normal forms all read it.
 
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from functools import cache
 from fractions import Fraction
 from math import isqrt, lcm
@@ -49,21 +49,26 @@ class GuardError(RuntimeError):
 
 @dataclass
 class Limits:
-    max_component_words: int = 20_000
-    timeout_sec: float | None = None
-    # time.monotonic() value by which the computation must end; fixed from
-    # timeout_sec when a computation starts (see started)
-    deadline: float | None = None
+    """The guards of a computation: at most max_component_words columns per
+    component, and a deadline, the time.monotonic() value timeout_sec after
+    the limits are made (None without a timeout).  Every call given the same
+    limits shares that one deadline."""
 
-    def started(self):
-        """These limits with the deadline fixed, unless it already is."""
-        if self.timeout_sec is None or self.deadline is not None:
-            return self
-        return replace(self, deadline=time.monotonic() + self.timeout_sec)
+    max_component_words: int = 20_000
+    timeout_sec: InitVar[float | None] = None
+    deadline: float | None = field(init=False)
+
+    def __post_init__(self, timeout_sec):
+        self.deadline = None if timeout_sec is None else time.monotonic() + timeout_sec
 
     def check_deadline(self, delta):
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise GuardError("timeout reached while building component %r" % (delta,))
+
+    def check_columns(self, what, count):
+        if count > self.max_component_words:
+            raise GuardError("%s has %d columns, over the limit of %d"
+                             % (what, count, self.max_component_words))
 
 
 DEFAULT_LIMITS = Limits()
@@ -376,12 +381,7 @@ def clear_cache():
 
 
 def _component_words(delta, limits):
-    count = W.word_count(delta)
-    if count > limits.max_component_words:
-        raise GuardError(
-            "component %r has %d words, over the limit of %d"
-            % (delta, count, limits.max_component_words)
-        )
+    limits.check_columns("component %r" % (delta,), W.word_count(delta))
     ws = W.enumerate_words(delta)
     d = len(delta)
     ws.sort(key=lambda w: W.word_sort_key(w, d))
@@ -400,7 +400,8 @@ def component_basis(n, d, p, delta, limits=None):
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    limits = (limits or DEFAULT_LIMITS).started()
+    limits = limits or DEFAULT_LIMITS
+    limits.check_deadline(delta)
 
     ws = _component_words(delta, limits)
     index = {w: i for i, w in enumerate(ws)}
@@ -427,7 +428,11 @@ def component_basis(n, d, p, delta, limits=None):
             child_delta = delta[:k] + (delta[k] - 1,) + delta[k + 1 :]
             if sum(child_delta) < n:
                 continue
-            child = component_basis(n, d, p, child_delta, limits)
+            try:
+                child = component_basis(n, d, p, child_delta, limits)
+            except RecursionError:
+                raise GuardError("component %r rests on a chain of lower components "
+                                 "too deep to build" % (delta,)) from None
             children.append((k + 1, child))
             # x_k times the child's RREF rows.  A row whose shifted pivot is
             # still its smallest column here is already reduced: it is zero at
@@ -475,7 +480,6 @@ def contains(n, p, f, limits=None):
     """Ideal membership: does f vanish in the quotient algebra?"""
     if f.is_zero():
         return True
-    limits = (limits or DEFAULT_LIMITS).started()
     for delta, part in f.split_multihomogeneous().items():
         basis = component_basis(n, f.d, p, delta, limits)
         if not basis.echelon.contains(basis.vector_of(part)):
@@ -492,7 +496,6 @@ def reduce(n, p, f, limits=None):
     """
     if f.is_zero():
         return f
-    limits = (limits or DEFAULT_LIMITS).started()
     out = FormalSum.zero(f.d, f.p)
     for delta, part in f.split_multihomogeneous().items():
         basis = component_basis(n, f.d, p, delta, limits)
@@ -554,10 +557,6 @@ class NilpotencyResult:
     stopped: str | None = None
     completed_degree: int | None = None
 
-    @property
-    def exceeded(self):
-        return self.degree is None and self.stopped is None
-
     def to_json(self):
         if self.degree is not None:
             degree = self.degree
@@ -586,7 +585,7 @@ def nilpotency_degree(n, d, p, max_deg, limits=None):
     is an automorphism, so the other components have the same dimensions
     (this symmetry is property-tested, not just assumed).
     """
-    limits = (limits or DEFAULT_LIMITS).started()
+    limits = limits or DEFAULT_LIMITS
     log = []
     witness = None
     for c in range(1, max_deg + 1):
@@ -651,7 +650,6 @@ def equiv_zero_certificate(n, p, f, order, limits=None):
     for the columns these steps read.
     """
     W.order_key((), 0, order)  # refuses an unknown order, even for f = 0
-    limits = (limits or DEFAULT_LIMITS).started()
     d = f.d
     groups = {}
     for w, c in f.terms.items():

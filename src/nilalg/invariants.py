@@ -10,13 +10,14 @@ the sum of principal t x t minors, which is valid in every characteristic.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, compress, permutations, product, repeat
-from operator import add, itemgetter, le, sub
+from operator import add, itemgetter, le, mul, sub
 
 from . import bounds as B
 from . import words as W
 from .formal import SparseSum, accumulate, check_characteristic, coerce_coeff
-from .ideal import DEFAULT_LIMITS, Echelon, GuardError
+from .ideal import DEFAULT_LIMITS, Echelon
 
 
 def var_index(n, i, j, k):
@@ -97,9 +98,8 @@ def generic_matrix(n, d, p, k):
 
 
 def mat_mul(a, b):
-    n, zero = len(a), a[0][0]._like({})
-    return [[sum((a[i][l] * b[l][j] for l in range(n)), zero) for j in range(n)]
-            for i in range(n)]
+    """The matrix product a b, with entries Polys or scalars."""
+    return [[reduce(add, map(mul, row, col)) for col in zip(*b)] for row in a]
 
 
 def eval_word(n, d, a, p=0):
@@ -188,13 +188,22 @@ def _default_degree_cap(m, d, p):
     return summary.best_upper.value_exact
 
 
+def _sigmas(n, d, p, pairs, limits):
+    """InvariantPoly(sigma_t(X_a)) for each (t, a) in pairs, in their order.
+    They are made in word order, along one stack of prefix products, with
+    the deadline checked before each."""
+    word_product = _prefix_products(n, d, p)
+    out = [None] * len(pairs)
+    for i in sorted(range(len(pairs)), key=lambda i: pairs[i][1]):
+        t, a = pairs[i]
+        xdeg = tuple(t * e for e in W.multidegree(a, d))
+        limits.check_deadline(xdeg)
+        out[i] = InvariantPoly(sigma_poly(t, word_product(a)), xdeg, t, a)
+    return out
+
+
 def sigma_of_word(n, d, t, a, p=0):
-    return InvariantPoly(
-        sigma_poly(t, eval_word(n, d, a, p)),
-        tuple(t * e for e in W.multidegree(a, d)),
-        t,
-        tuple(a),
-    )
+    return _sigmas(n, d, p, [(t, W.validate_word(tuple(a), d))], DEFAULT_LIMITS)[0]
 
 
 def generator_set(n, d, p, c_source=None):
@@ -204,7 +213,8 @@ def generator_set(n, d, p, c_source=None):
     nilpotency degree for power floor(n/t), plus sigma_t of the single
     matrices for n/2 < t <= n with p <= t.  Words are deduplicated up to
     cyclic rotation.  c_source may override the degree caps (a valid upper
-    bound yields a generating superset).
+    bound yields a generating superset).  All are made by one _sigmas call,
+    so words share their prefix products.
     """
     check_characteristic(p)
     if n not in (2, 3):
@@ -216,15 +226,10 @@ def generator_set(n, d, p, c_source=None):
         if t != 1 and not (p <= t):
             continue
         caps[t] = cap = cap_of(n // t)
-        for deg in range(1, cap + 1):
-            entries.extend(sigma_of_word(n, d, t, rep, p) for rep in _cyclic_reps(deg, d))
-    tail = []
-    for t in range(n // 2 + 1, n + 1):
-        if 2 * t <= n or not (p <= t):
-            continue
-        for i in range(1, d + 1):
-            tail.append(sigma_of_word(n, d, t, (i,), p))
-    return GeneratorSet(n, d, p, entries, tail, caps)
+        entries += [(t, rep) for deg in range(1, cap + 1) for rep in _cyclic_reps(deg, d)]
+    tail = [(t, (i,)) for t in range(n // 2 + 1, n + 1) if p <= t for i in range(1, d + 1)]
+    sigmas = _sigmas(n, d, p, entries + tail, DEFAULT_LIMITS)
+    return GeneratorSet(n, d, p, sigmas[:len(entries)], sigmas[len(entries):], caps)
 
 
 def _cyclic_reps(deg, d):
@@ -251,7 +256,7 @@ def subalgebra_reduce(gens, targets, p=0, limits=None, spans=None):
     if len(xdegs) != 1:
         raise ValueError("targets must share one X-multidegree, got %r" % sorted(xdegs))
     (xdeg,) = xdegs
-    limits = (limits or DEFAULT_LIMITS).started()
+    limits = limits or DEFAULT_LIMITS
     spans = {} if spans is None else spans
     built = _span(gens, xdeg, p, limits, spans)
     ech, index = built or _echelon(spans[xdeg][0], xdeg, p, limits)
@@ -310,11 +315,7 @@ def _span(gens, xdeg, p, limits, spans):
 def _echelon(rows, xdeg, p, limits):
     """(echelon of the rows, monomial index)."""
     monomials = set().union(*(poly.terms for poly in rows))
-    if len(monomials) > limits.max_component_words:
-        raise GuardError(
-            "invariant component %r has %d monomials, over the limit of %d"
-            % (xdeg, len(monomials), limits.max_component_words)
-        )
+    limits.check_columns("invariant component %r" % (xdeg,), len(monomials))
     index = {m: i for i, m in enumerate(sorted(monomials))}
     ech = Echelon(len(index), p)
     for poly in rows:
@@ -329,28 +330,23 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
     invariant sigma_t(X_a) must reduce into products of the generators.
     Cases of one X-multidegree are decided together by one subalgebra_reduce
     call; the calls share their product spans, so each is built once.  The
-    targets are made in word order, along one stack of prefix products.
+    targets are made by _sigmas, as the generators are by generator_set.
     Returns a report with one entry per case, in the order of t, degree and
     word.  limits bounds the width of every span, and its deadline, fixed
-    once and checked at each target and each span built, the whole check.
+    when the limits were made and checked at each target and each span
+    built, the whole check.
     """
-    limits = (limits or DEFAULT_LIMITS).started()
+    limits = limits or DEFAULT_LIMITS
     allgens = generator_set(n, d, p, c_source).all()
     cap_of = c_source or (lambda m: _default_degree_cap(m, d, p))
-    cases, words = [], []
+    cases, pairs = [], []
     for t in range(1, n + 1):
         cap = cap_of(n // t)
         for deg in range(cap + 1, cap + extra_deg + 1):
             for rep in _cyclic_reps(deg, d):
-                words.append(rep)
+                pairs.append((t, rep))
                 cases.append({"t": t, "word": W.format_word(rep), "deg": deg, "pass": None})
-    word_product = _prefix_products(n, d, p)
-    targets = [None] * len(cases)
-    for i in sorted(range(len(cases)), key=words.__getitem__):  # word order shares prefixes
-        t, rep = cases[i]["t"], words[i]
-        xdeg = tuple(t * e for e in W.multidegree(rep, d))
-        limits.check_deadline(xdeg)
-        targets[i] = InvariantPoly(sigma_poly(t, word_product(rep)), xdeg, t, rep)
+    targets = _sigmas(n, d, p, pairs, limits)
     groups = {}  # X-multidegree -> [(target, case)], in the order of the cases
     for target, case in zip(targets, cases):
         groups.setdefault(target.xdeg, []).append((target, case))
@@ -431,12 +427,4 @@ def invert_matrix(g):
 def conjugate_tuple(matrices, g):
     """g * A_k * g^-1 for every matrix in the tuple, over the rationals."""
     ginv = invert_matrix(g)
-    n = len(g)
-
-    def mul(a, b):
-        return [
-            [sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    return [mul(mul(g, A), ginv) for A in matrices]
+    return [mat_mul(mat_mul(g, A), ginv) for A in matrices]

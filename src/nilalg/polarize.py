@@ -2,8 +2,10 @@
 
 t_theta(n, theta, (a_1..a_r)) is the sum over all ways to arrange theta_1
 copies of a_1, ..., theta_r copies of a_r into a product of n factors.  The
-bordered instances u * t_theta(...) * v of fixed multidegree span the
-corresponding graded component of the relation ideal of the nil algebra.
+arrangements are the words of multidegree theta (words.multiset_words),
+letter i standing for a_i.  The bordered instances u * t_theta(...) * v of
+fixed multidegree span the corresponding graded component of the relation
+ideal of the nil algebra.
 
 bare_instances enumerates the unbordered instances at exact multidegree,
 cutting a branch of the (theta_i, a_i) search once the letters left cannot
@@ -33,26 +35,6 @@ from . import words as W
 from .formal import FormalSum, accumulate
 
 
-@lru_cache(maxsize=None)
-def _arrangements(counts):
-    """Distinct sequences using counts[i] copies of symbol i, as a tuple in
-    lexicographic order: each is the next permutation of the one before."""
-    seq = [i for i, c in enumerate(counts) for _ in range(c)]
-    out = [tuple(seq)]
-    while True:
-        k = len(seq) - 2
-        while k >= 0 and seq[k] >= seq[k + 1]:
-            k -= 1
-        if k < 0:
-            return tuple(out)
-        j = len(seq) - 1
-        while seq[j] <= seq[k]:
-            j -= 1
-        seq[k], seq[j] = seq[j], seq[k]
-        seq[k + 1:] = reversed(seq[k + 1:])
-        out.append(tuple(seq))
-
-
 def t_theta(n, theta, args, p=0, d=None):
     """The polarization T_theta(a_1,...,a_r) as a FormalSum.
 
@@ -72,8 +54,9 @@ def t_theta(n, theta, args, p=0, d=None):
         d = max(max(a) for a in args)
     for a in args:
         W.validate_word(a, d)
+    args = [()] + args  # letter i of an arrangement stands for args[i]
     terms = accumulate(
-        ((tuple(letter for i in s for letter in args[i]), 1) for s in _arrangements(theta)),
+        ((tuple(letter for i in s for letter in args[i]), 1) for s in W.multiset_words(theta)),
         p,
     )
     return FormalSum(terms, d, p, _normalized=True)
@@ -173,10 +156,10 @@ def bare_instances(n, delta, p, words):
     for pairs in _pair_multisets(n, delta):
         if _leads_relation(pairs):
             continue
-        codes = [_code(a, bits) for _, a in pairs]
-        shifts = [bits * len(a) for _, a in pairs]
+        codes = [0] + [_code(a, bits) for _, a in pairs]  # by arrangement letter
+        shifts = [0] + [bits * len(a) for _, a in pairs]
         row = {}
-        for s in _arrangements(tuple(t for t, _ in pairs)):
+        for s in W.multiset_words(tuple(t for t, _ in pairs)):
             c = 0
             for i in s:
                 c = c << shifts[i] | codes[i]

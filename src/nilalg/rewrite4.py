@@ -100,7 +100,6 @@ def witness_search(d, p, degree_range, limits=None):
     are tried canonical-profiles-first.  Returns None when every degree in
     the range is exhausted without a witness.
     """
-    limits = (limits or I.DEFAULT_LIMITS).started()
     degrees = sorted(degree_range, reverse=True)
     for total in degrees:
         for delta in I._sorted_multidegrees(total, d):

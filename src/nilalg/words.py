@@ -6,6 +6,10 @@ partial orders on words are provided: the run-profile order ``gtr_compare``
 (compares sorted run-length vectors letter by letter) and the coarser
 run-count order ``succ_compare`` (compares only the number of runs).  Both
 compare the per-letter keys of ``order_key``.
+
+multiset_words is the one enumerator of multiset permutations: the words of
+a multidegree component, and the arrangements of a polarization (polarize),
+whose letters index its argument words.
 """
 
 from functools import lru_cache
@@ -167,19 +171,27 @@ def enumerate_words(delta):
         raise WordError("multidegree must have total degree >= 1")
     if any(e < 0 for e in delta):
         raise WordError("multidegree entries must be nonnegative")
-    return list(_words_rec(tuple(delta)))
+    return list(multiset_words(tuple(delta)))
 
 
 @lru_cache(maxsize=None)
-def _words_rec(delta):
-    if sum(delta) == 0:
-        return ((),)
-    out = []
-    for k, e in enumerate(delta):
-        if e:
-            rest = delta[:k] + (e - 1,) + delta[k + 1 :]
-            out.extend((k + 1,) + tail for tail in _words_rec(rest))
-    return tuple(out)
+def multiset_words(counts):
+    """The words with counts[k-1] copies of letter k, as a tuple in
+    lexicographic order: each is the next permutation of the one before."""
+    seq = [k for k, c in enumerate(counts, 1) for _ in range(c)]
+    out = [tuple(seq)]
+    while True:
+        k = len(seq) - 2
+        while k >= 0 and seq[k] >= seq[k + 1]:
+            k -= 1
+        if k < 0:
+            return tuple(out)
+        j = len(seq) - 1
+        while seq[j] <= seq[k]:
+            j -= 1
+        seq[k], seq[j] = seq[j], seq[k]
+        seq[k + 1:] = reversed(seq[k + 1:])
+        out.append(tuple(seq))
 
 
 def word_sort_key(w, d):

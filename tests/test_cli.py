@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -228,6 +229,9 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "member", "--n", "4", "--d", "2")
     assert code == 2
+    code, _, err = run(capsys, "member", "--n", "4", "--d", "2", "--expr", "1/0*x1")
+    assert code == 2
+    assert err.startswith("usage error: zero denominator")
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
     code, _, _ = run(capsys, "compare", "--n", "10", "--threads", "2")
@@ -297,6 +301,24 @@ def test_prime_beyond_int64_kernel_refused():
                       "--max-deg", "7", "--timeout-sec", "2")
     assert done.returncode == 2
     assert "3037000499" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("--timeout-sec", "3", "--expr", "x1^1500.x2"),
+    ("--expr", "x1^3000"),
+])
+def test_deep_components_end_in_a_guard(argv):
+    # the deadline is checked at the start of every component build, before
+    # its words are sorted, and a chain of components deeper than the stack
+    # is a breached guard: one line, no traceback.  A child process, so that
+    # a regression fails on the timeout instead of hanging
+    start = time.monotonic()
+    done = _run_child("member", "--n", "4", "--d", "2", *argv)
+    assert time.monotonic() - start < 30
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("guard breached: ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_conjecture_flag(capsys):

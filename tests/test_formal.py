@@ -52,7 +52,7 @@ def test_parse_mod_p():
 
 
 def test_parse_errors():
-    for bad in ["", "x1 +", "* x1", "x1 x2", "2*", "x1^"]:
+    for bad in ["", "x1 +", "* x1", "x1 x2", "2*", "x1^", "1/0*x1"]:
         with pytest.raises(ValueError):
             parse_sum(bad, 2, 0)
 

@@ -412,6 +412,23 @@ def test_component_guard():
         I.component_basis(3, 2, 0, (4, 4), limits)
 
 
+def test_limits_fix_their_deadline_when_made():
+    before = time.monotonic()
+    limits = I.Limits(timeout_sec=5)
+    assert before + 5 <= limits.deadline <= time.monotonic() + 5
+    assert I.Limits().deadline is None
+
+
+def test_deep_component_chains(clean_cache):
+    # x1^k is built on x1^(k-1), one stack frame each: 700 letters build (the
+    # word enumeration used to recurse once per letter), and a chain too deep
+    # for the stack ends in a GuardError, with nothing half built cached
+    assert I.contains(4, 0, S("x1^700", 2))
+    with pytest.raises(I.GuardError, match="too deep"):
+        I.contains(4, 0, S("x1^3000", 2))
+    assert (4, 0, (3000, 0)) not in I._cache
+
+
 def test_timeout_guard_partial():
     limits = I.Limits(timeout_sec=0.0)
     with pytest.raises(I.GuardError) as err:
@@ -710,7 +727,7 @@ def test_q_build_timeout_leaves_cache_clean(monkeypatch, clean_cache):
     # it, and the component is not cached
     I.component_basis(3, 2, 0, (2, 2))
     I.component_basis(3, 2, 0, (3, 1))
-    limits = I.Limits(timeout_sec=600).started()
+    limits = I.Limits(timeout_sec=600)
     lift = I.Echelon._certified_rref
 
     def expiring(self, check):

@@ -159,6 +159,16 @@ def test_generator_set_n3_tail():
     assert tail == {(3, (1,)), (3, (2,))}
 
 
+@pytest.mark.parametrize("p", [0, 3])
+def test_generator_set_matches_sigma_of_word(p):
+    # generator_set makes all its invariants along one stack of prefix
+    # products; sigma_of_word makes each on its own
+    gs = V.generator_set(3, 2, p)
+    assert gs.tail and len(gs.entries) > 10
+    for g in gs.all():
+        assert g == V.sigma_of_word(3, 2, g.t, g.word, p)
+
+
 def test_generator_set_rejects_big_n():
     with pytest.raises(ValueError):
         V.generator_set(4, 2, 0)
@@ -367,6 +377,16 @@ def test_newton_sigma_check():
     assert V.newton_sigma_check(3, 2, 5)
     with pytest.raises(ValueError):
         V.newton_sigma_check(2, 2, 2)  # needs t < p
+
+
+def test_mat_mul_fractions_schoolbook():
+    rng = random.Random(11)
+    for n in (1, 2, 3):
+        a, b = ([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                 for _ in range(n)] for _ in range(2))
+        expected = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)]
+        assert V.mat_mul(a, b) == expected
 
 
 def test_invert_matrix():

@@ -134,6 +134,16 @@ def test_word_count_and_enumeration():
         assert len(W.enumerate_words(delta)) == W.word_count(delta)
 
 
+def test_enumerate_words_are_the_sorted_permutations():
+    # every delta of at most 3 letters with entries <= 3, and a few of 4
+    deltas = [delta for d in (1, 2, 3) for delta in itertools.product(range(4), repeat=d)
+              if any(delta)]
+    deltas += [(1, 1, 1, 1), (2, 1, 0, 1), (0, 2, 1, 2)]
+    for delta in deltas:
+        letters = [k for k, e in enumerate(delta, 1) for _ in range(e)]
+        assert W.enumerate_words(delta) == sorted(set(itertools.permutations(letters)))
+
+
 @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=8))
 def test_roundtrip_words_property(letters):
     w = tuple(letters)

@@ -1,12 +1,12 @@
 """Sparse sums over an exact coefficient field, and formal sums of words.
 
-The field is the rationals (p=0, coefficients stored as Fraction, except
-that invariants.Poly keeps an integral coefficient as int) or the prime
-field F_p (coefficients stored as ints in 1..p-1).  Zero coefficients are
-never stored.  A prime must be at most MAX_PRIME = 3 037 000 499, so
-that the product of two residues always fits the int64 arithmetic of the
-mod-p elimination kernel.  check_characteristic remembers every accepted
-characteristic, so the trial division runs once per prime, not once per sum.
+The field is the rationals (p=0, an integral coefficient stored as int,
+any other as Fraction) or the prime field F_p (coefficients stored as ints
+in 1..p-1).  Zero coefficients are never stored.  A prime must be at most
+MAX_PRIME = 3 037 000 499, so that the product of two residues always fits
+the int64 arithmetic of the mod-p elimination kernel.  check_characteristic
+remembers every accepted characteristic, so the trial division runs once
+per prime, not once per sum.
 
 accumulate is the one loop that adds coefficients into a sparse dict,
 reduces them mod p and drops zeros.  SparseSum is the field-sum core built
@@ -51,9 +51,13 @@ def check_characteristic(p):
 
 
 def coerce_coeff(c, p):
-    """Bring a scalar into canonical stored form for characteristic p."""
+    """Bring a scalar into canonical stored form for characteristic p: over
+    Q an int for an integral value, else a Fraction; mod p an int."""
     if p == 0:
-        return c if isinstance(c, Fraction) else Fraction(c)
+        if type(c) is not int:
+            c = c if isinstance(c, Fraction) else Fraction(c)
+            c = c.numerator if c.denominator == 1 else c
+        return c
     if isinstance(c, Fraction):
         if c.denominator % p == 0:
             raise FieldError("denominator of %s not invertible mod %d" % (c, p))
@@ -120,9 +124,7 @@ class SparseSum:
 
     def scale(self, c):
         p = self.p
-        # over Q an int scalar stays int, so an integral Poly stays integral
-        if p or type(c) is not int:
-            c = coerce_coeff(c, p)
+        c = coerce_coeff(c, p)
         if not c:
             return self._like({})
         # a product of nonzero field elements is nonzero: nothing to drop

@@ -12,6 +12,9 @@ The unbordered instances that lead a letter-moving relation are skipped
 (polarize): the relation puts each in the span of the kept instances and
 the letter multiples.  Left multiples still reduced in the parent's word
 order enter the table in one step (Echelon.seed); other rows are reduced.
+Only weakly decreasing multidegrees are built from children: any other is
+its sorted twin with the letters permuted, an automorphism, and a child
+that is not weakly decreasing is read from its twin the same way.
 
 Rows are reduced by one kernel (Echelon): the RREF mod p,
 kept live as an int64 table of rank x free columns that reduces each new row
@@ -297,12 +300,18 @@ class Echelon:
         return vals
 
     def _insert(self, at, rows):
-        """Append rows on the free columns, pivots at positions at of them."""
+        """Append rows on the free columns, pivots at positions at of them,
+        building the new table in one allocation."""
         pivots = self._free[at]
-        self._slot[pivots] = np.arange(len(self._pivots), len(self._pivots) + len(at))
+        rank = len(self._pivots)
+        self._slot[pivots] = np.arange(rank, rank + len(at))
         self._pivots += pivots.tolist()
-        self._table = np.delete(np.vstack([self._table, rows]), at, axis=1)
-        self._free = np.delete(self._free, at)
+        keep = np.ones(len(self._free), dtype=bool)
+        keep[at] = False
+        table = np.empty((rank + len(rows), len(self._free) - len(at)), dtype=np.int64)
+        np.compress(keep, self._table, axis=1, out=table[:rank])
+        np.compress(keep, rows, axis=1, out=table[rank:])
+        self._table, self._free = table, self._free[keep]
 
     def _reduce(self, coeffs):
         """The residual mod q of a row {column: coefficient}, on free columns."""
@@ -417,45 +426,56 @@ def component_basis(n, d, p, delta, limits=None):
         offered.append(row)
         ech.add(row)
 
-    if sum(delta) >= n:
-        # left multiples x_k * (RREF rows) of the components one degree down
-        children = []
-        for k in range(d):
-            if full():
-                break
-            if delta[k] == 0:
-                continue
-            child_delta = delta[:k] + (delta[k] - 1,) + delta[k + 1 :]
-            if sum(child_delta) < n:
-                continue
-            try:
-                child = component_basis(n, d, p, child_delta, limits)
-            except RecursionError:
-                raise GuardError("component %r rests on a chain of lower components "
-                                 "too deep to build" % (delta,)) from None
-            children.append((k + 1, child))
-            # x_k times the child's RREF rows.  A row whose shifted pivot is
-            # still its smallest column here is already reduced: it is zero at
-            # the child's other pivots, and the blocks of different k share no
-            # column.  The table keeps every row zero on the free columns
-            # before its pivot (a later pivot f only alters rows with pivots
-            # before f), so such rows enter it in one step, unreduced.
-            # Prefixing x_k does not keep the word order, so the rest, whose
-            # smallest column is another, are added one at a time.
-            shift = [index[(k + 1,) + w] for w in child.words]
-            rows = [([shift[c] for c in cols], vals) for cols, vals in child.echelon.rows]
-            ech.seed([row for row in rows if min(row[0]) == row[0][0]])
-            for cols, vals in rows:
-                if min(cols) != cols[0] and not full():
-                    limits.check_deadline(delta)
-                    ech.add(dict(zip(cols, vals)))
+    # The RREF rows of a component are read from the component of its weakly
+    # decreasing permutation (its twin), letters permuted back: permuting
+    # letters is an automorphism, mapping L_T onto L_{sigma T} and I_T onto
+    # I_{sigma T}.  A delta not weakly decreasing takes its twin's rows and
+    # complement, with no children and no instances.  Otherwise the left
+    # multiples x_k * (RREF rows) of the components one degree down come
+    # first; the blocks of different k share no column.
+    unsorted = any(a < b for a, b in zip(delta, delta[1:]))
+    parts = [((), delta)] if unsorted else [
+        ((k + 1,), delta[:k] + (delta[k] - 1,) + delta[k + 1:])
+        for k in range(d) if delta[k] and sum(delta) > n]
+    children = []  # (prefix, part's words in its twin's order, twin's complement)
+    for prefix, part in parts:
+        if full():
+            break
+        order = sorted(range(d), key=lambda k: -part[k])
+        try:
+            twin = component_basis(n, d, p, tuple(part[k] for k in order), limits)
+        except RecursionError:
+            raise GuardError("component %r rests on a chain of lower components "
+                             "too deep to build" % (delta,)) from None
+        perm = [0] + [k + 1 for k in order]
+        words = twin.words if perm == sorted(perm) else [
+            tuple(perm[x] for x in w) for w in twin.words]
+        children.append((prefix, words, twin.complement))
+        # A mapped row keeps its pivot, a column where no other row has an
+        # entry.  A row whose pivot is still its smallest column here is
+        # already reduced: the table keeps every row zero on the free columns
+        # before its pivot (a later pivot f only alters rows with pivots
+        # before f), so such rows enter it in one step, unreduced.  The rest
+        # are added one at a time.
+        column = [index[prefix + w] for w in words]
+        rows = [([column[c] for c in cols], vals) for cols, vals in twin.echelon.rows]
+        ech.seed([row for row in rows if min(row[0]) == row[0][0]])
+        for cols, vals in rows:
+            if min(cols) != cols[0] and not full():
+                limits.check_deadline(delta)
+                ech.add(dict(zip(cols, vals)))
+    complement = []
+    if unsorted:
+        ((_, words, rest),) = children
+        complement = [(tuple(index[words[c]] for c in cols), vals) for cols, vals in rest]
+    elif sum(delta) >= n:
         # right multiples of each child's complement only: the child's left
         # multiples times x_k are left multiples here, offered above
-        for letter, child in children:
-            for cols, vals in child.complement:
+        for prefix, words, rest in children:
+            for cols, vals in rest:
                 if full():
                     break
-                offer({index[child.words[c] + (letter,)]: v for c, v in zip(cols, vals)})
+                offer({index[words[c] + prefix]: v for c, v in zip(cols, vals)})
         # unbordered polarization instances at exactly delta
         if not full():
             for row in bare_instances(n, delta, p, ws):
@@ -465,7 +485,7 @@ def component_basis(n, d, p, delta, limits=None):
 
     ech.lift(lambda: limits.check_deadline(delta))
     tail = zip(offered, ech.raised[len(ech.raised) - len(offered):])
-    complement = [(tuple(row), tuple(row.values())) for row, ok in tail if ok]
+    complement += [(tuple(row), tuple(row.values())) for row, ok in tail if ok]
     basis = ComponentBasis(d, p, ws, index, ech, complement)
     _cache[key] = basis
     return basis
@@ -583,7 +603,8 @@ def nilpotency_degree(n, d, p, max_deg, limits=None):
 
     Only weakly decreasing multidegrees are scanned; permuting the letters
     is an automorphism, so the other components have the same dimensions
-    (this symmetry is property-tested, not just assumed).
+    (this symmetry is used, and tested against the bordered-instance
+    oracle).
     """
     limits = limits or DEFAULT_LIMITS
     log = []

@@ -44,8 +44,6 @@ class Poly(SparseSum):
             clean = {}
             for e, c in terms.items():
                 c = coerce_coeff(c, p)
-                if not p and c.denominator == 1:
-                    c = c.numerator
                 if c:
                     clean[e] = c
             self.terms = clean

@@ -7,15 +7,16 @@ letter i standing for a_i.  The bordered instances u * t_theta(...) * v of
 fixed multidegree span the corresponding graded component of the relation
 ideal of the nil algebra.
 
-bare_instances enumerates the unbordered instances at exact multidegree,
-cutting a branch of the (theta_i, a_i) search once the letters left cannot
-give every later slot a letter.  Argument words are pairwise distinct: over
-Z, pairs (theta_i, a), (theta_j, a) give binom(theta_i + theta_j, theta_i)
-times the instance with the one pair (theta_i + theta_j, a), so merging ends
-in a generated multiset and no span changes at any p.  Rows {column:
-coefficient} are emitted directly: an argument word is an integer of
-(d-1).bit_length() bits per letter, an arrangement's word is shifts and ors
-of these, and one dict gives its column.  An instance is skipped when its
+bare_instances enumerates the unbordered instances at exact multidegree by
+a search over cached lists of candidate pairs (theta_i, a_i) that cuts a
+branch once the letters left cannot give every later slot a letter.
+Argument words are pairwise distinct: over Z, pairs (theta_i, a), (theta_j,
+a) give binom(theta_i + theta_j, theta_i) times the instance with the one
+pair (theta_i + theta_j, a), so merging ends in a generated multiset and no
+span changes at any p.  Rows {column: coefficient} are emitted directly:
+an argument word is an integer of (d-1).bit_length() bits per letter, an
+arrangement's word is shifts and ors of these, and one dict gives its
+column.  An instance is skipped when its
 largest argument word w = b z (z a letter, b nonempty) has theta 1 and b is
 at least every other argument (by length, then letters), or mirrored with
 w = z b: with b in place of w, the identity over Z sum_j T(..., a_j z, ...)
@@ -69,40 +70,20 @@ def _sub_multidegrees(budget, scale):
 
 
 @lru_cache(maxsize=None)
-def _arguments(budget, theta_i, spare):
-    """(budget left, words of mu) for the a_i of multidegree mu that can
-    still finish a multiset.
-
-    mu runs ascending over the nonzero multidegrees with theta_i * mu <=
-    budget.  With spare == 0 slots left, only mu = budget / theta_i closes
-    the budget exactly; otherwise the budget left must hold at least one
-    letter per spare slot.
-    """
-    if spare == 0:
-        if any(b % theta_i for b in budget) or not any(budget):
-            return ()
-        mu = tuple(b // theta_i for b in budget)
-        return (((0,) * len(budget), tuple(W.enumerate_words(mu))),)
-    total = sum(budget)
-    return tuple(
-        (tuple(b - theta_i * m for b, m in zip(budget, mu)), tuple(W.enumerate_words(mu)))
-        for mu in _sub_multidegrees(budget, theta_i)
-        if total - theta_i * sum(mu) >= spare
-    )
-
-
-def _extensions(n_left, budget_left, last, acc):
-    """(slots left, budget left, pair, acc + (pair,)) for each next pair."""
-    used = {a for _, a in acc}
-    for theta_i in range(max(last[0], 1), n_left + 1):
-        spare = n_left - theta_i
-        if 0 < spare < theta_i:
-            continue
-        for left, words in _arguments(budget_left, theta_i, spare):
-            for a in words:
-                pair = (theta_i, a)
-                if pair > last and a not in used:
-                    yield spare, left, pair, acc + (pair,)
+def _candidates(budget, theta_lo, n_left):
+    """((theta, a), slots left, budget left) for each next pair with theta >=
+    theta_lo that can still finish a multiset: theta ascending, then mdeg(a)
+    = mu ascending over the nonzero mu with theta * mu <= budget, then a.
+    With no slot left, only mu = budget / theta closes the budget exactly;
+    otherwise the budget left must hold one letter per slot left."""
+    out = []
+    for theta in range(max(theta_lo, 1), n_left + 1):
+        spare = n_left - theta
+        for mu in [] if 0 < spare < theta else _sub_multidegrees(budget, theta):
+            left = tuple(b - theta * m for b, m in zip(budget, mu))
+            if sum(left) >= spare and (spare or not any(left)):
+                out += [((theta, a), spare, left) for a in W.multiset_words(mu)]
+    return tuple(out)
 
 
 def _pair_multisets(n, budget):
@@ -112,19 +93,26 @@ def _pair_multisets(n, budget):
 
     The search does not visit the branches that cannot close the budget:
     later pairs have theta_j >= theta_i, and every later slot needs at least
-    one letter.  It runs depth first on an explicit stack of extension
-    generators, so no generator refers to itself.
+    one letter.  It runs depth first over the cached candidate lists, on one
+    explicit stack of (candidates, next index).
     """
-    stack = [_extensions(n, tuple(budget), (0, ()), ())]
+    acc, used = [(0, ())], set()  # the pairs and words of the branch
+    stack = [(_candidates(tuple(budget), 1, n), 0)]
     while stack:
-        for n_left, left, pair, acc in stack[-1]:
-            if n_left == 0:
-                yield acc
-            else:
-                stack.append(_extensions(n_left, left, pair, acc))
+        candidates, i = stack.pop()
+        last = acc[-1]
+        for j in range(i, len(candidates)):
+            pair, spare, left = candidates[j]
+            if pair > last and pair[1] not in used:
+                if not spare:
+                    yield (*acc[1:], pair)
+                    continue
+                stack += [(candidates, j + 1), (_candidates(left, pair[0], spare), 0)]
+                acc.append(pair)
+                used.add(pair[1])
                 break
         else:
-            stack.pop()
+            used.discard(acc.pop()[1])
 
 
 def _code(w, bits):

@@ -13,7 +13,7 @@ whose letters index its argument words.
 """
 
 from functools import lru_cache
-from math import factorial
+from math import comb
 
 GREATER = "greater"
 LESS = "less"
@@ -153,11 +153,12 @@ def is_subvector(a, b):
 
 
 def word_count(delta):
-    """Number of words with multidegree delta (a multinomial coefficient)."""
-    total = sum(delta)
-    count = factorial(total)
+    """Number of words with multidegree delta (a multinomial coefficient),
+    a product of binomials."""
+    count, total = 1, 0
     for e in delta:
-        count //= factorial(e)
+        total += e
+        count *= comb(total, e)
     return count
 
 

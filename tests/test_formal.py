@@ -102,3 +102,13 @@ def test_characteristic_mismatch():
 def test_word_constructor():
     f = FormalSum.word((1, 2, 1), 2, 0)
     assert format_sum(f) == "x1.x2.x1"
+
+
+def test_integral_rational_coefficients_are_ints():
+    # over Q every sparse sum stores an integral coefficient as int and a
+    # Fraction only for a real denominator, as invariants.Poly does
+    f = parse_sum("2*x1 + 1/2*x2 - 4/2*x1.x2", 2, 0)
+    assert f.terms == {(1,): 2, (2,): Fraction(1, 2), (1, 2): -2}
+    assert [type(f.terms[w]) for w in [(1,), (2,), (1, 2)]] == [int, Fraction, int]
+    g = FormalSum({(1,): Fraction(6, 3), (2,): 3}, 2, 0)
+    assert [type(c) for c in g.terms.values()] == [int, int]

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -183,6 +183,10 @@ def span_rank(sums, words):
     # here the last letter's child supplies right multiples the first lacks
     (3, (1, 1, 2), 0),
     (4, (1, 2, 2), 2),
+    # not weakly decreasing: read from the sorted twin, letters permuted
+    (4, (3, 4), 0),
+    (4, (2, 3, 2), 3),
+    (4, (1, 3, 2), 0),
 ])
 def test_recursive_span_equals_bordered_span(n, delta, p):
     # the component basis built by the letter-border recursion spans exactly
@@ -194,6 +198,41 @@ def test_recursive_span_equals_bordered_span(n, delta, p):
     # and every direct instance reduces to zero against the recursive basis
     for f in ideal_instances(n, delta, p):
         assert basis.echelon.contains(basis.vector_of(f))
+
+
+def _dense(rows, column, ncols):
+    """(columns, coefficients) rows as lists, column c taken to column(c)."""
+    out = []
+    for cols, vals in rows:
+        out.append([0] * ncols)
+        for c, v in zip(cols, vals):
+            out[-1][column(c)] = v
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("n", [3, 4])
+def test_unsorted_components_equal_bordered_span(n, p):
+    # a component whose multidegree is not weakly decreasing is read from its
+    # sorted twin, letters permuted; its RREF rows must be those of all its
+    # bordered instances in its own word order, and its complement with the
+    # left multiples of its children must span it
+    for d, top in [(2, 7), (3, 6)]:
+        for delta in product(range(top + 1), repeat=d):
+            if not 1 <= sum(delta) <= top or list(delta) == sorted(delta, reverse=True):
+                continue
+            basis = I.component_basis(n, d, p, delta)
+            words, ncols = basis.words, len(basis.words)
+            want = _rref_reference([[f.terms.get(w, 0) for w in words]
+                                    for f in ideal_instances(n, delta, p)], p)
+            assert _dense(basis.echelon.rows, int, ncols) == want, (n, delta, p)
+            rows = _dense(basis.complement, int, ncols)
+            for k in range(d if sum(delta) > 1 else 0):
+                if delta[k]:
+                    child = I.component_basis(n, d, p, delta[:k] + (delta[k] - 1,) + delta[k + 1:])
+                    rows += _dense(child.echelon.rows,
+                                   lambda c: basis.index[(k + 1,) + child.words[c]], ncols)
+            assert _rref_reference(rows, p) == want, (n, delta, p)
 
 
 def _leads_letter_moving_relation(pairs):
@@ -318,6 +357,48 @@ def test_repeated_argument_is_binomial_multiple_of_merged(n, d):
                     pairs = merged
                 assert pairs in stream, (n, delta, pairs)
     assert repeats
+
+
+def _recursive_pair_multisets(n, budget):
+    """The pair-multiset search as a recursion over generators: the
+    reference stream for the flat search of polarize._pair_multisets."""
+    def arguments(budget, theta, spare):
+        if spare == 0:
+            if any(b % theta for b in budget) or not any(budget):
+                return []
+            return [((0,) * len(budget), W.enumerate_words(tuple(b // theta for b in budget)))]
+        return [(left, W.enumerate_words(mu)) for mu in P._sub_multidegrees(budget, theta)
+                if sum(left := tuple(b - theta * m for b, m in zip(budget, mu))) >= spare]
+
+    def rec(n_left, budget_left, last, acc):
+        used = {a for _, a in acc}
+        for theta in range(max(last[0], 1), n_left + 1):
+            spare = n_left - theta
+            if 0 < spare < theta:
+                continue
+            for left, words in arguments(budget_left, theta, spare):
+                for a in words:
+                    pair = (theta, a)
+                    if pair > last and a not in used:
+                        if spare:
+                            yield from rec(spare, left, pair, acc + (pair,))
+                        else:
+                            yield acc + (pair,)
+
+    yield from rec(n, tuple(budget), (0, ()), ())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_flat_search_yields_the_recursive_stream(n, d):
+    # the explicit-stack search over cached candidate lists yields the same
+    # pair multisets in the same order as the recursion, on every
+    # multidegree of total at most n + 3
+    for total in range(1, n + 4):
+        for delta in product(range(total + 1), repeat=d):
+            if sum(delta) == total:
+                want = list(_recursive_pair_multisets(n, delta))
+                assert list(P._pair_multisets(n, delta)) == want, (n, delta)
 
 
 def test_arrangement_count_distinct_args():

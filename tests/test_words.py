@@ -1,4 +1,6 @@
 import itertools
+import math
+import timeit
 
 import pytest
 from hypothesis import given, strategies as st
@@ -132,6 +134,22 @@ def test_word_count_and_enumeration():
     assert sorted(ws) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
     for delta in [(3, 2), (1, 1, 1, 1)]:
         assert len(W.enumerate_words(delta)) == W.word_count(delta)
+
+
+def test_word_count_is_the_multinomial():
+    # a product of binomials, equal to the factorial formula
+    for d in (1, 2, 3):
+        for delta in itertools.product(range(9), repeat=d):
+            want = math.factorial(sum(delta))
+            for e in delta:
+                want //= math.factorial(e)
+            assert W.word_count(delta) == want, delta
+
+
+def test_word_count_of_a_long_power_is_cheap():
+    # no factorial of the total degree: x1^50000 is one word, counted at once
+    assert W.word_count((50000, 0)) == 1
+    assert min(timeit.repeat(lambda: W.word_count((50000, 0)), number=1, repeat=5)) < 1e-3
 
 
 def test_enumerate_words_are_the_sorted_permutations():

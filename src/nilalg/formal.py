@@ -12,7 +12,7 @@ accumulate is the one loop that adds coefficients into a sparse dict,
 reduces them mod p and drops zeros.  SparseSum is the field-sum core built
 on it: addition, negation, subtraction, scaling, equality and the check
 that both operands live in one universe.  FormalSum (words over d letters,
-universe (d, p)) and invariants.Poly (exponent vectors, universe
+universe (d, p)) and invariants.Poly (packed exponent vectors, universe
 (nvars, p)) subclass it and add only their constructors and products.
 """
 

@@ -26,6 +26,7 @@ caches one reduced form, the sparse RREF, and refuses rows added after it;
 parents, residuals and normal forms all read it.
 """
 
+import re
 import time
 from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
@@ -85,13 +86,16 @@ def _lift_primes():
 
 
 def _rational(a, m):
-    """The fraction u/v = a mod m with |u|, v <= sqrt(m/2) (unique), or None."""
+    """The fraction u/v = a mod m with |u|, v <= sqrt(m/2) (unique), or None;
+    in stored form (coerce_coeff): an int when v divides u."""
     bound = isqrt(m // 2)
     r0, r1, t0, t1 = m, a, 0, 1
     while r1 > bound:
         k = r0 // r1
         r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
-    return Fraction(r1, t1) if t1 and abs(t1) <= bound else None
+    if not t1 or abs(t1) > bound:
+        return None
+    return r1 // t1 if r1 % t1 == 0 else Fraction(r1, t1)
 
 
 def _rref_rows(pivots, free, table):
@@ -496,11 +500,16 @@ def quotient_dimension(n, d, p, delta, limits=None):
     return component_basis(n, d, p, delta, limits).quotient_dimension
 
 
+def _outside_powers(n, f):
+    """f without its terms u x_k^n v, whose word has a run of n equal
+    letters: they lie in the ideal, and need no component."""
+    run = re.compile(r"(.)\1{%d}" % (n - 1), re.DOTALL)
+    return f._like({w: c for w, c in f.terms.items() if not run.search("".join(map(chr, w)))})
+
+
 def contains(n, p, f, limits=None):
     """Ideal membership: does f vanish in the quotient algebra?"""
-    if f.is_zero():
-        return True
-    for delta, part in f.split_multihomogeneous().items():
+    for delta, part in _outside_powers(n, f).split_multihomogeneous().items():
         basis = component_basis(n, f.d, p, delta, limits)
         if not basis.echelon.contains(basis.vector_of(part)):
             return False
@@ -514,10 +523,8 @@ def reduce(n, p, f, limits=None):
     profile-greater words under the module's word order.  Linear and
     idempotent.
     """
-    if f.is_zero():
-        return f
     out = FormalSum.zero(f.d, f.p)
-    for delta, part in f.split_multihomogeneous().items():
+    for delta, part in _outside_powers(n, f).split_multihomogeneous().items():
         basis = component_basis(n, f.d, p, delta, limits)
         out = out + basis.sum_of(basis.echelon.residual(basis.vector_of(part)))
     return out
@@ -673,7 +680,7 @@ def equiv_zero_certificate(n, p, f, order, limits=None):
     W.order_key((), 0, order)  # refuses an unknown order, even for f = 0
     d = f.d
     groups = {}
-    for w, c in f.terms.items():
+    for w, c in _outside_powers(n, f).terms.items():
         key = (W.multidegree(w, d), W.order_key(w, d, order))
         groups.setdefault(key, {})[w] = c
     g = {}

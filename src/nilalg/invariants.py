@@ -1,18 +1,22 @@
 """Invariants of tuples of generic matrices under simultaneous conjugation.
 
 Entries of the d generic n x n matrices are independent commuting variables;
-polynomials are sparse dicts over Q or F_p.  Over Q, Poly keeps an integral
-coefficient as int and a Fraction only for a real denominator, so generic
-matrices, their products and minors are computed in integer arithmetic.
-sigma_t is the coefficient of lambda^(n-t) in det(X + lambda E), computed as
-the sum of principal t x t minors, which is valid in every characteristic.
+polynomials are sparse dicts over Q or F_p.  A monomial is its exponent
+vector packed into one int, one byte per variable and the first variable in
+the highest byte, so keys sort as the exponent tuples do and a product of
+monomials is a sum of keys.  Over Q, Poly keeps an integral coefficient as
+int and a Fraction only for a real denominator, so generic matrices, their
+products and minors are computed in integer arithmetic.  sigma_t is the
+coefficient of lambda^(n-t) in det(X + lambda E), computed as the sum of
+principal t x t minors, which is valid in every characteristic.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress, permutations, product, repeat
-from operator import add, itemgetter, le, mul, sub
+from math import lcm
+from operator import add, itemgetter, le, mul, or_, sub
 
 from . import bounds as B
 from . import words as W
@@ -26,11 +30,14 @@ def var_index(n, i, j, k):
 
 
 class Poly(SparseSum):
-    """Sparse multivariate polynomial; exponent tuples -> field coefficients.
+    """Sparse multivariate polynomial; packed monomials -> field coefficients.
 
-    The universe is (nvars, p).  Over Q the constructor stores an integral
-    coefficient as int, so sums and products of integer polynomials stay in
-    int arithmetic; equal int and Fraction values compare and hash equal.
+    The universe is (nvars, p).  The constructor takes exponent tuples with
+    entries in 0..255 and packs them.  A product refuses a factor with an
+    exponent above 127 (ValueError), so no sum of exponents carries into the
+    next byte.  Over Q the constructor stores an integral coefficient as int,
+    so sums and products of integer polynomials stay in int arithmetic; equal
+    int and Fraction values compare and hash equal.
     """
 
     __slots__ = ("nvars",)
@@ -45,7 +52,7 @@ class Poly(SparseSum):
             for e, c in terms.items():
                 c = coerce_coeff(c, p)
                 if c:
-                    clean[e] = c
+                    clean[int.from_bytes(bytes(e), "big")] = c
             self.terms = clean
 
     def _universe(self):
@@ -67,24 +74,31 @@ class Poly(SparseSum):
 
     def __mul__(self, other):
         self._check_same_universe(other)
+        a, b = self.terms, other.terms
+        if (reduce(or_, a, 0) | reduce(or_, b, 0)) & int.from_bytes(b"\x80" * self.nvars, "big"):
+            raise ValueError("a factor has an exponent above 127")
         return self._like(accumulate(
-            ((tuple(map(add, e1, e2)), c1 * c2)
-             for e1, c1 in self.terms.items()
-             for e2, c2 in other.terms.items()),
-            self.p,
-        ))
+            ((k1 + k2, c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()), self.p))
 
     def evaluate(self, values):
-        """Evaluate at a full vector of scalars."""
+        """Evaluate at a full vector of ints or Fractions, in integers: with
+        D the lcm of the values' denominators, a term of degree k is scaled
+        by D^(top - k), top the largest degree, and one Fraction, the sum
+        over D^top, is brought into the field."""
+        if len(values) != self.nvars:
+            raise ValueError("need %d values, got %d" % (self.nvars, len(values)))
+        den = lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        terms = [(c, key.to_bytes(self.nvars, "big")) for key, c in self.terms.items()]
+        top = max((sum(e) for _, e in terms), default=0)
         total = 0
-        for e, c in self.terms.items():
-            prod = c
-            for idx, exp in enumerate(e):
-                if exp:
-                    prod *= values[idx] ** exp
-            total = total % self.p if self.p else total
-            total += prod
-        return total % self.p if self.p else total
+        for c, e in terms:
+            c *= den ** (top - sum(e))
+            for v, x in zip(nums, e):
+                if x:
+                    c *= v ** x
+            total += c
+        return coerce_coeff(Fraction(total, den ** top), self.p)
 
 
 def generic_matrix(n, d, p, k):
@@ -401,28 +415,46 @@ def matrix_values(n, d, matrices):
     return values
 
 
-def invert_matrix(g):
-    """Exact inverse of a matrix of Fractions (Gauss-Jordan)."""
+def _integral(m):
+    """(integer matrix, den) with m = integer matrix / den."""
+    den = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
+
+
+def _adjugate(g):
+    """(adj g, det g) of a square integer matrix, by one fraction-free
+    (Bareiss) Gauss-Jordan elimination of [g | I]: every division is exact,
+    and it ends at [det I | adj].  ValueError if g is singular."""
     n = len(g)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(g)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
         if piv is None:
             raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        # swap two rows and negate one: the determinant stays as it is
+        top = rows[k] if piv == k else [-x for x in rows[piv]]
+        rows[k], rows[piv] = top, rows[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(top[k] * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = top[k]
+    return [row[n:] for row in rows], prev
+
+
+def invert_matrix(g):
+    """Exact inverse of a rational matrix g = G / e, G integral: e adj(G) / det(G)."""
+    g, den = _integral(g)
+    adj, det = _adjugate(g)
+    return [[Fraction(x * den, det) for x in row] for row in adj]
 
 
 def conjugate_tuple(matrices, g):
-    """g * A_k * g^-1 for every matrix in the tuple, over the rationals."""
-    ginv = invert_matrix(g)
-    return [mat_mul(mat_mul(g, A), ginv) for A in matrices]
+    """g * A_k * g^-1 for every matrix in the tuple, over the rationals: for
+    g = G / e and A = M / a with G, M integral, G M adj(G) / (a det G), one
+    Fraction made per entry."""
+    g = _integral(g)[0]
+    adj, det = _adjugate(g)
+    return [[[Fraction(x, den * det) for x in row] for row in mat_mul(mat_mul(g, M), adj)]
+            for M, den in map(_integral, matrices)]

@@ -304,21 +304,32 @@ def test_prime_beyond_int64_kernel_refused():
 
 
 @pytest.mark.parametrize("argv", [
-    ("--timeout-sec", "3", "--expr", "x1^1500.x2"),
-    ("--expr", "x1^3000"),
+    ("--max-deg", "40", "--timeout-sec", "3"),
+    ("--max-deg", "3000"),
 ])
 def test_deep_components_end_in_a_guard(argv):
     # the deadline is checked at the start of every component build, before
     # its words are sorted, and a chain of components deeper than the stack
-    # is a breached guard: one line, no traceback.  A child process, so that
-    # a regression fails on the timeout instead of hanging
+    # (x1^3000 on x1^2999 on ...) is a breached guard: one line, no
+    # traceback.  A child process, so that a regression fails on the timeout
+    # instead of hanging
     start = time.monotonic()
-    done = _run_child("member", "--n", "4", "--d", "2", *argv)
+    done = _run_child("witness4", "--d", "2", *argv)
     assert time.monotonic() - start < 30
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith("guard breached: ")
     assert done.stderr.count("\n") == 1
+
+
+def test_member_drops_terms_with_an_nth_power(capsys):
+    # x1^3000 contains x1^4, so it is a member without any component: no
+    # chain of 3000 components is built
+    code, out, _ = run(capsys, "member", "--n", "4", "--d", "2", "--expr", "x1^3000")
+    assert (code, out) == (0, "member: true\nresidual: 0\n")
+    code, out, _ = run(capsys, "member", "--n", "4", "--d", "2",
+                       "--expr", "x1^3000 + x1^2.x2.x1^2")
+    assert (code, out) == (0, "member: false\nresidual: -x1^3.x2.x1 - x1.x2.x1^3\n")
 
 
 def test_conjecture_flag(capsys):

@@ -429,10 +429,33 @@ def test_deep_component_chains(clean_cache):
     # x1^k is built on x1^(k-1), one stack frame each: 700 letters build (the
     # word enumeration used to recurse once per letter), and a chain too deep
     # for the stack ends in a GuardError, with nothing half built cached
-    assert I.contains(4, 0, S("x1^700", 2))
+    assert I.quotient_dimension(4, 2, 0, (700, 0)) == 0
     with pytest.raises(I.GuardError, match="too deep"):
-        I.contains(4, 0, S("x1^3000", 2))
+        I.component_basis(4, 2, 0, (3000, 0))
     assert (4, 0, (3000, 0)) not in I._cache
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_terms_with_an_nth_power_change_no_verdict(monkeypatch, clean_cache, p):
+    # a term u x_k^n v lies in the ideal: dropping it before the components
+    # are looked up leaves every verdict, normal form and certificate as the
+    # components give them
+    n, d = 3, 2
+    rng = random.Random(19 + p)
+    cases = [FormalSum({tuple(rng.randint(1, d) for _ in range(rng.randint(3, 7))):
+                        rng.randint(1, 4) for _ in range(rng.randint(1, 5))}, d, p)
+             for _ in range(40)]
+    assert 0 < sum(I._outside_powers(n, f) != f for f in cases) < len(cases)
+
+    def answers():
+        return [(I.contains(n, p, f), I.reduce(n, p, f),
+                 [I.equiv_zero_certificate(n, p, f, order) for order in ("gtr", "succ")])
+                for f in cases]
+
+    got = answers()
+    assert any(ok for ok, _, _ in got) and not all(ok for ok, _, _ in got)
+    monkeypatch.setattr(I, "_outside_powers", lambda n, f: f)
+    assert answers() == got
 
 
 def test_timeout_guard_partial():
@@ -454,8 +477,9 @@ def test_one_deadline_per_call(monkeypatch, capsys, clean_cache):
         return build(n, d, p, delta, limits)
 
     monkeypatch.setattr(I, "component_basis", recording)
-    # a member, so that no call stops at the first component
-    f = S("x1^4.x2 + 2*x2^4.x1 - x1^4.x2^2", 2)
+    # a member, so that no call stops at the first component, with no term
+    # x_k^4, so that every call builds components
+    f = S("x1^2.x2.x1^2 + x1^3.x2.x1 + x1.x2.x1^3", 2)
     calls = [
         lambda lim: I.reduce(4, 0, f, lim),
         lambda lim: I.contains(4, 0, f, lim),
@@ -474,7 +498,7 @@ def test_one_deadline_per_call(monkeypatch, capsys, clean_cache):
 
     I.clear_cache()
     seen.clear()
-    assert cli.main(["reduce4", "--d", "2", "--expr", "x1^2.x2^2 + x1^4.x2",
+    assert cli.main(["reduce4", "--d", "2", "--expr", "x1^2.x2^2 + x1^3.x2.x1",
                      "--timeout-sec", "600"]) == 0
     capsys.readouterr()
     assert len(seen) >= 3
@@ -772,10 +796,15 @@ def test_cached_component_keeps_only_reduced_rows(clean_cache, p):
 
 
 def _rref_digest():
-    """sha256 over the RREF rows of every cached component, by key."""
+    """sha256 over the RREF rows of every cached component, by key.  Over Q
+    each entry after the pivot is printed as a Fraction, so the digest pins
+    the values and not whether an integral one is stored as int."""
     h = hashlib.sha256()
     for key in sorted(I._cache):
-        h.update(repr((key, I._cache[key].echelon.rows)).encode())
+        rows = I._cache[key].echelon.rows
+        if key[1] == 0:
+            rows = [(cols, vals[:1] + tuple(map(Fraction, vals[1:]))) for cols, vals in rows]
+        h.update(repr((key, rows)).encode())
     return h.hexdigest()
 
 

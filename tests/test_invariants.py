@@ -1,7 +1,9 @@
 import gc
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, product
+from operator import mul
 
 import pytest
 
@@ -118,8 +120,10 @@ def test_poly_integer_storage():
     e = (1, 0, 2)
     a, b = V.Poly({e: 3}, 3, 0), V.Poly({e: Fraction(3)}, 3, 0)
     assert a == b and hash(a) == hash(b)
-    assert type(b.terms[e]) is int
-    assert type(V.Poly({e: Fraction(3, 2)}, 3, 0).terms[e]) is Fraction
+    (key,) = b.terms  # the packed monomial
+    assert type(b.terms[key]) is int
+    half = V.Poly({e: Fraction(3, 2)}, 3, 0)
+    assert type(half.terms[key]) is Fraction
     # negation, subtraction and an int scalar keep int coefficients
     x, y = V.Poly.variable(0, 2, 0), V.Poly.variable(1, 2, 0)
     for poly in (-x, x - y, x.scale(3), poly - poly.scale(2)):
@@ -128,6 +132,60 @@ def test_poly_integer_storage():
     for _ in range(20):
         a = _random_poly(rng, 3, 0)
         assert a.scale(Fraction(1, 2)).scale(2) == a
+
+
+def _exponent_terms(poly):
+    """The terms of a Poly keyed by exponent tuples."""
+    return {tuple(key.to_bytes(poly.nvars, "big")): c for key, c in poly.terms.items()}
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_packed_products_match_exponent_tuples(p):
+    rng = random.Random(31 + p)
+    for _ in range(60):
+        nvars = rng.randint(1, 5)
+        a, b = (_random_poly(rng, nvars, p) for _ in range(2))
+        expected = {}
+        for e1, c1 in _exponent_terms(a).items():
+            for e2, c2 in _exponent_terms(b).items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                expected[e] = expected.get(e, 0) + c1 * c2
+        expected = {e: c % p if p else c for e, c in expected.items()}
+        ab = a * b
+        assert _exponent_terms(ab) == {e: c for e, c in expected.items() if c}
+        # packed keys sort as the exponent tuples do
+        assert [tuple(k.to_bytes(nvars, "big")) for k in sorted(ab.terms)] == sorted(
+            _exponent_terms(ab))
+
+
+def test_packed_exponents_never_carry():
+    x = V.Poly.variable(0, 2, 0)
+    big = V.Poly({(127, 3): 2}, 2, 0)
+    assert _exponent_terms(big * big) == {(254, 6): 4}
+    for factor in (V.Poly({(128, 0): 1}, 2, 0), big * big):
+        with pytest.raises(ValueError):
+            factor * x
+        with pytest.raises(ValueError):
+            x * factor
+    for e in ((256, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            V.Poly({e: 1}, 2, 0)
+
+
+def test_evaluate_at_fractions_matches_term_by_term():
+    rng = random.Random(41)
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        poly = _random_poly(rng, nvars, 0)
+        values = [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(nvars)]
+        expected = sum((c * reduce(mul, (v ** x for v, x in zip(values, e)), Fraction(1))
+                        for e, c in _exponent_terms(poly).items()), Fraction(0))
+        assert poly.evaluate(values) == expected
+        with pytest.raises(ValueError):
+            poly.evaluate(values[1:])
+        assert poly.evaluate([int(v) for v in values]) == sum(
+            c * reduce(mul, (int(v) ** x for v, x in zip(values, e)), 1)
+            for e, c in _exponent_terms(poly).items())
 
 
 def test_poly_mixed_universes():
@@ -261,6 +319,42 @@ def test_multipliers_are_the_indecomposables_n2():
     spans = _spans_at(gens, 0, [(3, 3)])
     multipliers = [(g.t, g.word) for _, kept, _ in spans.values() for g in kept]
     assert sorted(multipliers) == [(1, (1,)), (1, (1, 1)), (1, (1, 2)), (1, (2,)), (1, (2, 2))]
+
+
+def _indecomposables(n, d, p):
+    """The multipliers of the spans that the targets of degree cap + 1 need."""
+    gens = V.generator_set(n, d, p).all()
+    xdegs = {tuple(t * e for e in W.multidegree(a, d))
+             for t in range(1, n + 1)
+             for a in V._cyclic_reps(V._default_degree_cap(n // t, d, p) + 1, d)}
+    spans = _spans_at(gens, p, sorted(xdegs))
+    return sorted(((g.t, g.word) for _, kept, _ in spans.values() for g in kept),
+                  key=lambda tw: (len(tw[1]) * tw[0], tw))
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_indecomposables_n2_d2(p):
+    # tr X, tr Y, tr X^2, tr XY, tr Y^2 minimally generate the invariants of
+    # two 2 x 2 matrices at p = 0 (Sibirskii 1968, Procesi 1976), and here at
+    # p = 3 too; at p = 2, tr X^2 = (tr X)^2 and det X takes its place
+    got = _indecomposables(2, 2, p)
+    if p == 2:
+        assert got == [(1, (1,)), (1, (2,)), (1, (1, 2)), (2, (1,)), (2, (2,))]
+    else:
+        assert got == [(1, (1,)), (1, (2,)), (1, (1, 1)), (1, (1, 2)), (1, (2, 2))]
+
+
+def test_indecomposables_n3_d2_teranishi():
+    # two 3 x 3 matrices in characteristic 0: 11 minimal generators, of
+    # degrees (1,0) (0,1) (2,0) (1,1) (0,2) (3,0) (2,1) (1,2) (0,3) (2,2) and
+    # (3,3) (Teranishi, Nagoya Math. J. 1986).  There is one of degree (3,3)
+    # modulo products: Teranishi lists tr X^2 Y^2 X Y, and the first trace of
+    # that degree in word order, tr X^2 Y X Y^2, serves here
+    got = _indecomposables(3, 2, 0)
+    xdegs = sorted(tuple(t * e for e in W.multidegree(a, 2)) for t, a in got)
+    assert xdegs == sorted([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1),
+                            (1, 2), (0, 3), (2, 2), (3, 3)])
+    assert got[-1] == (1, (1, 1, 2, 1, 2, 2))
 
 
 def _rank(polys, p):
@@ -399,6 +493,48 @@ def test_invert_matrix():
     assert prod == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         V.invert_matrix([[1, 2], [2, 4]])
+
+
+def _gauss_jordan_inverse(g):
+    """The inverse of a nonsingular matrix by Gauss-Jordan over Fractions."""
+    n = len(g)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(g)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _random_rational_matrix(rng, n):
+    return [[Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 6))
+             for _ in range(n)] for _ in range(n)]
+
+
+def test_fraction_free_inverse_and_conjugation():
+    rng = random.Random(53)
+    checked = singular = 0
+    while checked < 150:
+        n = rng.randint(1, 4)
+        g = _random_rational_matrix(rng, n)
+        try:
+            ginv = _gauss_jordan_inverse(g)
+        except StopIteration:
+            singular += 1
+            with pytest.raises(ValueError):
+                V.invert_matrix(g)
+            with pytest.raises(ValueError):
+                V.conjugate_tuple([g], g)
+            continue
+        assert V.invert_matrix(g) == ginv
+        tup = [_random_rational_matrix(rng, n) for _ in range(rng.randint(1, 3))]
+        assert V.conjugate_tuple(tup, g) == [V.mat_mul(V.mat_mul(g, A), ginv) for A in tup]
+        checked += 1
+    assert singular
 
 
 def test_conjugation_invariance_numeric():

@@ -10,11 +10,15 @@ each child's complement only, the rows that raised its rank after its own
 left multiples: the rest, L_{delta-e_k} x_k, lies in sum_j x_j I_{delta-e_j}.
 The unbordered instances that lead a letter-moving relation are skipped
 (polarize): the relation puts each in the span of the kept instances and
-the letter multiples.  Left multiples still reduced in the parent's word
-order enter the table in one step (Echelon.seed); other rows are reduced.
+the letter multiples.  A build gathers every child's rows first; the left
+multiples still reduced in the parent's word order then enter the table in
+one step (Echelon.seed), and the other rows are reduced one at a time, the
+right multiples and the instances in one loop that stops at full rank.
 Only weakly decreasing multidegrees are built from children: any other is
 its sorted twin with the letters permuted, an automorphism, and a child
 that is not weakly decreasing is read from its twin the same way.
+Membership, normal forms and equivalence read a sum through one walk over
+its multidegree parts (_parts).
 
 Rows are reduced by one kernel (Echelon): the RREF mod p,
 kept live as an int64 table of rank x free columns that reduces each new row
@@ -31,6 +35,7 @@ import time
 from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
 from functools import cache
+from itertools import chain, compress
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -419,77 +424,63 @@ def component_basis(n, d, p, delta, limits=None):
     ws = _component_words(delta, limits)
     index = {w: i for i, w in enumerate(ws)}
     ech = Echelon(len(ws), p)
-    ncols = len(ws)
-    offered = []  # the rows offered after the left multiples
 
-    def full():
-        return ech.rank == ncols
-
-    def offer(row):
-        limits.check_deadline(delta)
-        offered.append(row)
-        ech.add(row)
-
-    # The RREF rows of a component are read from the component of its weakly
-    # decreasing permutation (its twin), letters permuted back: permuting
-    # letters is an automorphism, mapping L_T onto L_{sigma T} and I_T onto
-    # I_{sigma T}.  A delta not weakly decreasing takes its twin's rows and
-    # complement, with no children and no instances.  Otherwise the left
-    # multiples x_k * (RREF rows) of the components one degree down come
-    # first; the blocks of different k share no column.
+    # Every child's rows are gathered first.  The RREF rows of a component
+    # are read from the component of its weakly decreasing permutation (its
+    # twin), letters permuted back: permuting letters is an automorphism,
+    # mapping L_T onto L_{sigma T} and I_T onto I_{sigma T}.  A delta not
+    # weakly decreasing is its twin mapped, rows and complement, with prefix
+    # (); otherwise the children are the components one degree down, giving
+    # the left multiples x_k * (RREF rows) and the right multiples of their
+    # complements only (the child's left multiples times x_k are left
+    # multiples here).
     unsorted = any(a < b for a, b in zip(delta, delta[1:]))
     parts = [((), delta)] if unsorted else [
         ((k + 1,), delta[:k] + (delta[k] - 1,) + delta[k + 1:])
         for k in range(d) if delta[k] and sum(delta) > n]
-    children = []  # (prefix, part's words in its twin's order, twin's complement)
+    seeded, violators, right = [], [], []
     for prefix, part in parts:
-        if full():
-            break
         order = sorted(range(d), key=lambda k: -part[k])
         try:
             twin = component_basis(n, d, p, tuple(part[k] for k in order), limits)
         except RecursionError:
             raise GuardError("component %r rests on a chain of lower components "
                              "too deep to build" % (delta,)) from None
-        perm = [0] + [k + 1 for k in order]
-        words = twin.words if perm == sorted(perm) else [
-            tuple(perm[x] for x in w) for w in twin.words]
-        children.append((prefix, words, twin.complement))
+        words = twin.words if order == sorted(order) else [
+            tuple(order[x - 1] + 1 for x in w) for w in twin.words]
         # A mapped row keeps its pivot, a column where no other row has an
-        # entry.  A row whose pivot is still its smallest column here is
-        # already reduced: the table keeps every row zero on the free columns
-        # before its pivot (a later pivot f only alters rows with pivots
-        # before f), so such rows enter it in one step, unreduced.  The rest
-        # are added one at a time.
+        # entry, and the blocks of different k share no column.  A row whose
+        # pivot is still its smallest column here is already reduced: the
+        # table keeps every row zero on the free columns before its pivot
+        # (a later pivot f only alters rows with pivots before f), so such
+        # rows enter it in one step, unreduced.  The rest, the violators,
+        # are added one at a time, and each raises the rank.
         column = [index[prefix + w] for w in words]
-        rows = [([column[c] for c in cols], vals) for cols, vals in twin.echelon.rows]
-        ech.seed([row for row in rows if min(row[0]) == row[0][0]])
-        for cols, vals in rows:
-            if min(cols) != cols[0] and not full():
-                limits.check_deadline(delta)
-                ech.add(dict(zip(cols, vals)))
-    complement = []
-    if unsorted:
-        ((_, words, rest),) = children
-        complement = [(tuple(index[words[c]] for c in cols), vals) for cols, vals in rest]
-    elif sum(delta) >= n:
-        # right multiples of each child's complement only: the child's left
-        # multiples times x_k are left multiples here, offered above
-        for prefix, words, rest in children:
-            for cols, vals in rest:
-                if full():
-                    break
-                offer({index[words[c] + prefix]: v for c, v in zip(cols, vals)})
-        # unbordered polarization instances at exactly delta
-        if not full():
-            for row in bare_instances(n, delta, p, ws):
-                offer(row)
-                if full():
-                    break
+        for cols, vals in twin.echelon.rows:
+            cols = [column[c] for c in cols]
+            if min(cols) == cols[0]:
+                seeded.append((cols, vals))
+            else:
+                violators.append(dict(zip(cols, vals)))
+        column = [index[w + prefix] for w in words]
+        right += [{column[c]: v for c, v in zip(cols, vals)} for cols, vals in twin.complement]
+    ech.seed(seeded)
+    for row in violators:
+        limits.check_deadline(delta)
+        ech.add(row)
+    left = len(ech.raised)
+    offered = []  # the rows offered after the left multiples
+    if not unsorted and sum(delta) >= n and ech.rank < len(ws):
+        # then the unbordered polarization instances at exactly delta
+        for row in chain(right, bare_instances(n, delta, p, ws)):
+            limits.check_deadline(delta)
+            offered.append(row)
+            if ech.add(row) and ech.rank == len(ws):
+                break
 
     ech.lift(lambda: limits.check_deadline(delta))
-    tail = zip(offered, ech.raised[len(ech.raised) - len(offered):])
-    complement += [(tuple(row), tuple(row.values())) for row, ok in tail if ok]
+    kept = right if unsorted else compress(offered, ech.raised[left:])
+    complement = [(tuple(row), tuple(row.values())) for row in kept]
     basis = ComponentBasis(d, p, ws, index, ech, complement)
     _cache[key] = basis
     return basis
@@ -507,13 +498,20 @@ def _outside_powers(n, f):
     return f._like({w: c for w, c in f.terms.items() if not run.search("".join(map(chr, w)))})
 
 
-def contains(n, p, f, limits=None):
-    """Ideal membership: does f vanish in the quotient algebra?"""
+def _parts(n, p, f, limits):
+    """(component, column vector) for each multidegree part of f outside the
+    n-th powers; FieldError, before any component is built, if p is not the
+    characteristic of f."""
+    if p != f.p:
+        raise FieldError("the sum is over p = %d, not p = %d" % (f.p, p))
     for delta, part in _outside_powers(n, f).split_multihomogeneous().items():
         basis = component_basis(n, f.d, p, delta, limits)
-        if not basis.echelon.contains(basis.vector_of(part)):
-            return False
-    return True
+        yield basis, basis.vector_of(part)
+
+
+def contains(n, p, f, limits=None):
+    """Ideal membership: does f vanish in the quotient algebra?"""
+    return all(basis.echelon.contains(v) for basis, v in _parts(n, p, f, limits))
 
 
 def reduce(n, p, f, limits=None):
@@ -523,11 +521,10 @@ def reduce(n, p, f, limits=None):
     profile-greater words under the module's word order.  Linear and
     idempotent.
     """
-    out = FormalSum.zero(f.d, f.p)
-    for delta, part in _outside_powers(n, f).split_multihomogeneous().items():
-        basis = component_basis(n, f.d, p, delta, limits)
-        out = out + basis.sum_of(basis.echelon.residual(basis.vector_of(part)))
-    return out
+    out = {}
+    for basis, v in _parts(n, p, f, limits):
+        out.update((basis.words[c], x) for c, x in basis.echelon.residual(v).items())
+    return FormalSum(out, f.d, p)
 
 
 def mirror(f):
@@ -662,8 +659,10 @@ def equiv_zero_certificate(n, p, f, order, limits=None):
 
     f is split into groups of mutually equivalent terms (same multidegree
     and words.order_key); each group must lie in the span of the ideal
-    component together with the unit vectors of all strictly greater words.  If all do, g is a combination
-    of strictly greater words with contains(f - g); otherwise g is None.
+    component together with the unit vectors of all strictly greater words.
+    If all do, g is a combination of strictly greater words with
+    contains(f - g); otherwise g is None.  One component is looked up per
+    multidegree.
 
     Each group is decided on the component's RREF rows R_i (1 at pivot i,
     the rest on free columns).  Modulo the ideal a free word c is itself and
@@ -678,32 +677,30 @@ def equiv_zero_certificate(n, p, f, order, limits=None):
     for the columns these steps read.
     """
     W.order_key((), 0, order)  # refuses an unknown order, even for f = 0
-    d = f.d
-    groups = {}
-    for w, c in _outside_powers(n, f).terms.items():
-        key = (W.multidegree(w, d), W.order_key(w, d, order))
-        groups.setdefault(key, {})[w] = c
     g = {}
-    for (delta, key), terms in groups.items():
-        basis = component_basis(n, d, p, delta, limits)
-        part = _equiv_group(basis, terms, key, order)
-        if part is None:
-            return False, None
-        accumulate(part, f.p, g)
-    return True, FormalSum(g, d, f.p)
+    for basis, v in _parts(n, p, f, limits):
+        groups = {}
+        for c, x in v.items():
+            groups.setdefault(W.order_key(basis.words[c], f.d, order), {})[c] = x
+        for key, terms in groups.items():
+            part = _equiv_group(basis, terms, key, order)
+            if part is None:
+                return False, None
+            accumulate(part, p, g)
+    return True, FormalSum(g, f.d, p)
 
 
 def _equiv_group(basis, terms, key, order):
     """(word, coefficient) pairs of strictly greater words that one group of
-    equivalent terms, all with order key key, is congruent to, or None if it
-    is not equivalent to zero."""
+    equivalent terms, {column: coefficient} all with order key key, is
+    congruent to, or None if it is not equivalent to zero."""
     words, d = basis.words, basis.d
 
     @cache
     def greater(c):
         return W.compare_keys(W.order_key(words[c], d, order), key) == W.GREATER
 
-    part = basis.echelon.residual({basis.index[w]: c for w, c in terms.items()})
+    part = basis.echelon.residual(terms)
     out = [(words[c], v) for c, v in part.items() if greater(c)]
     low = {c: v for c, v in part.items() if not greater(c)}
     if not low:

@@ -190,16 +190,6 @@ def cyclic_min(w):
     return min(w[i:] + w[:i] for i in range(len(w)))
 
 
-def _default_degree_cap(m, d, p):
-    v = B.exact_known(m, d, p)
-    if v is not None:
-        return v
-    summary = B.best_bounds(m, d, p)
-    if summary.best_upper.value_exact is None:
-        raise ValueError("no exact-integer degree cap available for C(%d,%d)" % (m, d))
-    return summary.best_upper.value_exact
-
-
 def _sigmas(n, d, p, pairs, limits):
     """InvariantPoly(sigma_t(X_a)) for each (t, a) in pairs, in their order.
     They are made in word order, along one stack of prefix products, with
@@ -231,7 +221,7 @@ def generator_set(n, d, p, c_source=None):
     check_characteristic(p)
     if n not in (2, 3):
         raise ValueError("generic-matrix computations support n in {2, 3}")
-    cap_of = c_source or (lambda m: _default_degree_cap(m, d, p))
+    cap_of = c_source or (lambda m: B.exact_known(m, d, p))
     entries = []
     caps = {}
     for t in range(1, n // 2 + 1):
@@ -349,8 +339,8 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
     built, the whole check.
     """
     limits = limits or DEFAULT_LIMITS
-    allgens = generator_set(n, d, p, c_source).all()
-    cap_of = c_source or (lambda m: _default_degree_cap(m, d, p))
+    cap_of = c_source or (lambda m: B.exact_known(m, d, p))
+    allgens = generator_set(n, d, p, cap_of).all()
     cases, pairs = [], []
     for t in range(1, n + 1):
         cap = cap_of(n // t)

@@ -3,7 +3,9 @@
 Every element is congruent to a combination of words whose per-letter run
 vectors come from a short list, subject to three cross-letter exclusions.
 The reducer is the generic echelon reduction of the degree component; the
-displayed rewrite relations serve as test vectors, not as the engine.
+displayed rewrite relations serve as test vectors, not as the engine.  A
+word of maximal nonzero degree is read off the nilpotency-degree scan of
+the ideal module, not found by a scan of its own.
 """
 
 from itertools import combinations_with_replacement
@@ -67,10 +69,8 @@ def cross_letter_ok(w, d):
 
 
 def is_canonical_word(w, d):
-    return (
-        all(allowed_power_vector(W.x_power(w, k)) for k in range(1, d + 1))
-        and cross_letter_ok(w, d)
-    )
+    vectors = [W.x_power(w, k) for k in range(1, d + 1)]
+    return all(map(allowed_power_vector, vectors)) and _exclusions_ok(vectors)
 
 
 def canonicalize(d, p, f, limits=None):
@@ -96,21 +96,22 @@ def canonicalize(d, p, f, limits=None):
 def witness_search(d, p, degree_range, limits=None):
     """A word of maximal degree in the range that is nonzero in the quotient.
 
-    Scans degrees from the top down; within a component the non-pivot words
-    are tried canonical-profiles-first.  Returns None when every degree in
-    the range is exhausted without a witness.
+    Read off the nilpotency-degree scan up to the top of the range: the
+    largest degree in the range below the degree C found (every degree below
+    C has a nonzero component, none from C on), or the top of the range if
+    the scan found no C.  At that degree the first nonzero component is
+    taken, its non-pivot words tried canonical-profiles-first.  Returns None
+    when no degree in the range lies below C.
     """
-    degrees = sorted(degree_range, reverse=True)
-    for total in degrees:
-        for delta in I._sorted_multidegrees(total, d):
-            qdim = I.quotient_dimension(N4, d, p, delta, limits)
-            if qdim == 0:
-                continue
-            basis = I.component_basis(N4, d, p, delta, limits)
-            candidates = basis.nonpivot_words()
-            candidates.sort(key=lambda w: (not is_canonical_word(w, d),))
-            return candidates[0]
-    return None
+    top = max(degree_range, default=0)
+    found = I.nilpotency_degree(N4, d, p, top, limits).degree
+    below = [c for c in degree_range if c < (found or top + 1)]
+    if not below:
+        return None
+    for delta in I._sorted_multidegrees(max(below), d):
+        basis = I.component_basis(N4, d, p, delta, limits)
+        if basis.quotient_dimension:
+            return min(basis.nonpivot_words(), key=lambda w: not is_canonical_word(w, d))
 
 
 def canonical_profiles(d):

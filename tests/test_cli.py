@@ -307,19 +307,31 @@ def test_prime_beyond_int64_kernel_refused():
     ("--max-deg", "40", "--timeout-sec", "3"),
     ("--max-deg", "3000"),
 ])
-def test_deep_components_end_in_a_guard(argv):
+def test_witness4_reads_the_degree_scan(argv):
+    # the witness is read off the nilpotency-degree scan, which stops at
+    # C(4,2,0) = 10, not found top down: no chain of 3000 components.  A
+    # child process, so that a regression fails on the timeout instead of
+    # hanging
+    done = _run_child("witness4", "--d", "2", *argv, "--json")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == {"degree": 9, "witness": "x1^3.x2^2.x1^2.x2.x1"}
+
+
+def test_deadline_ends_in_a_guard_and_partial_json():
     # the deadline is checked at the start of every component build, before
-    # its words are sorted, and a chain of components deeper than the stack
-    # (x1^3000 on x1^2999 on ...) is a breached guard: one line, no
-    # traceback.  A child process, so that a regression fails on the timeout
-    # instead of hanging
+    # its words are sorted, and inside it: one guard line, no traceback, then
+    # the scan's partial result
     start = time.monotonic()
-    done = _run_child("witness4", "--d", "2", *argv)
+    done = _run_child("exact", "--n", "5", "--d", "2", "--max-deg", "20",
+                      "--timeout-sec", "3")
     assert time.monotonic() - start < 30
     assert done.returncode == 1
     assert done.stdout == ""
-    assert done.stderr.startswith("guard breached: ")
-    assert done.stderr.count("\n") == 1
+    first, payload = done.stderr.strip().split("\n")
+    assert first.startswith("guard breached: timeout")
+    partial = json.loads(payload)
+    assert partial["stopped"] == first[len("guard breached: "):]
+    assert 0 <= partial["completed_degree"] < 20
 
 
 def test_member_drops_terms_with_an_nth_power(capsys):

@@ -842,7 +842,8 @@ def test_left_multiples_seeded_or_added(monkeypatch, clean_cache):
     # adds the rest (the violators) with the other rows, one call per row;
     # each of the 530 + 1 008 = 1 538 rows takes exactly one of the two (the
     # children that are not weakly decreasing are read from their twins, not
-    # built)
+    # built), and every built component seeds all its children's rows in one
+    # call
     events = []  # (echelon, "add" or the number of rows seeded)
     add, seed = I.Echelon.add, I.Echelon.seed
 
@@ -858,12 +859,27 @@ def test_left_multiples_seeded_or_added(monkeypatch, clean_cache):
     monkeypatch.setattr(I.Echelon, "seed", counted_seed)
     I.clear_cache()
     assert I.nilpotency_degree(4, 2, 0, 11).degree == 10
-    seeds = [(i, ech, k) for i, (ech, k) in enumerate(events) if k != "add"]
+    seeds = [(ech, k) for ech, k in events if k != "add"]
     assert len(events) - len(seeds) == 530
-    assert sum(k for _, _, k in seeds) == 1008
-    # a violator of x_1's block is added before x_2's block is seeded
-    last_seed = {ech: i for i, ech, _ in seeds}
-    assert any(k == "add" and i < last_seed.get(ech, -1) for i, (ech, k) in enumerate(events))
+    assert sum(k for _, k in seeds) == 1008
+    built = {id(basis.echelon) for basis in I._cache.values()}
+    assert sorted(id(ech) for ech, _ in seeds) == sorted(built)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, f: I.contains(4, p, f),
+    lambda p, f: I.reduce(4, p, f),
+    lambda p, f: I.equiv_zero_certificate(4, p, f, "gtr"),
+    lambda p, f: R.canonicalize(2, p, f),
+], ids=["contains", "reduce", "equiv_zero_certificate", "canonicalize"])
+@pytest.mark.parametrize("given, over", [(5, 0), (0, 5)])
+def test_characteristic_of_the_sum_is_required(clean_cache, call, given, over):
+    # a p that is not the sum's own is refused before any component is
+    # built, instead of an answer in the other field
+    I.clear_cache()
+    with pytest.raises(FieldError, match="not p = %d" % given):
+        call(given, S("x1^2.x2.x1^2 + x1^3.x2", 2, over))
+    assert not I._cache
 
 
 def test_q_complement_keeps_rows_lost_mod_lift_prime(monkeypatch, clean_cache):

@@ -7,6 +7,7 @@ from operator import mul
 
 import pytest
 
+from nilalg import bounds as B
 from nilalg import invariants as V
 from nilalg import words as W
 from nilalg.formal import FieldError
@@ -326,7 +327,7 @@ def _indecomposables(n, d, p):
     gens = V.generator_set(n, d, p).all()
     xdegs = {tuple(t * e for e in W.multidegree(a, d))
              for t in range(1, n + 1)
-             for a in V._cyclic_reps(V._default_degree_cap(n // t, d, p) + 1, d)}
+             for a in V._cyclic_reps(B.exact_known(n // t, d, p) + 1, d)}
     spans = _spans_at(gens, p, sorted(xdegs))
     return sorted(((g.t, g.word) for _, kept, _ in spans.values() for g in kept),
                   key=lambda tw: (len(tw[1]) * tw[0], tw))

@@ -4,6 +4,7 @@ from nilalg import ideal as I
 from nilalg import rewrite4 as R
 from nilalg import words as W
 from nilalg.formal import parse_sum
+from test_ideal import clean_cache  # noqa: F401 (a fixture)
 
 
 def S(text, d, p=0):
@@ -71,6 +72,32 @@ def test_witness_search_p0():
 def test_witness_search_empty_range_above_degree():
     # all degree-10 components vanish at p = 0
     assert R.witness_search(2, 0, [10, 11]) is None
+
+
+def _witness_top_down(d, p, degree_range):
+    """The witness by a scan from the top of the range down, component by
+    component: the first nonzero one, its canonical non-pivot words first."""
+    for total in sorted(degree_range, reverse=True):
+        for delta in I._sorted_multidegrees(total, d):
+            basis = I.component_basis(4, d, p, delta)
+            if basis.quotient_dimension:
+                words = basis.nonpivot_words()
+                words.sort(key=lambda w: not R.is_canonical_word(w, d))
+                return words[0]
+    return None
+
+
+@pytest.mark.parametrize("p", [0, 3, 5])
+@pytest.mark.parametrize("d, ranges", [
+    (1, [range(1, 7), range(8, 11), [10, 11]]),
+    (2, [range(1, 12), range(8, 11), [10, 11]]),
+    # at d = 3 the degree-10 components take seconds to build
+    (3, [range(1, 7), range(4, 6)]),
+])
+def test_witness_search_matches_top_down_scan(clean_cache, d, ranges, p):
+    # the witness read off the degree scan is the word the top-down scan finds
+    for degrees in ranges:
+        assert R.witness_search(d, p, degrees) == _witness_top_down(d, p, degrees)
 
 
 def test_canonical_profiles_degree_cap():

@@ -30,7 +30,8 @@ def _add_common(sub, *names, limits=True):
         sub.add_argument("--p", type=int, default=0)
     sub.add_argument("--json", action="store_true", help="emit JSON only")
     if limits:
-        sub.add_argument("--limit-rows", type=int, default=20_000, dest="limit_rows")
+        sub.add_argument("--limit-rows", type=int, dest="limit_rows",
+                         default=I.Limits.max_component_words)
         sub.add_argument("--timeout-sec", type=float, default=None, dest="timeout_sec")
 
 

@@ -14,12 +14,13 @@ on it: addition, negation, subtraction, scaling, equality and the check
 that both operands live in one universe.  FormalSum (words over d letters,
 universe (d, p)) and invariants.Poly (packed exponent vectors, universe
 (nvars, p)) subclass it and add only their constructors and products.
+clear_denominators is the one place that clears denominators.
 """
 
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from . import words as W
 
@@ -63,6 +64,12 @@ def coerce_coeff(c, p):
             raise FieldError("denominator of %s not invertible mod %d" % (c, p))
         return c.numerator * pow(c.denominator, -1, p) % p
     return c % p
+
+
+def clear_denominators(values):
+    """(numerators, den): ints and Fractions as integers over their lcm den."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def accumulate(items, p, terms=None):
@@ -174,10 +181,6 @@ class FormalSum(SparseSum):
     def zero(cls, d, p):
         return cls({}, d, p, _normalized=True)
 
-    @classmethod
-    def word(cls, w, d, p, coeff=1):
-        return cls({tuple(w): coeff}, d, p)
-
     def __mul__(self, other):
         """Concatenation product, extended bilinearly."""
         self._check_same_universe(other)
@@ -193,12 +196,6 @@ class FormalSum(SparseSum):
         return self._like(
             accumulate(((fn(w), c) for w, c in self.terms.items()), self.p)
         )
-
-    def multidegrees(self):
-        return {W.multidegree(w, self.d) for w in self.terms}
-
-    def is_multihomogeneous(self):
-        return len(self.multidegrees()) <= 1
 
     def split_multihomogeneous(self):
         """Split into multihomogeneous parts, keyed by multidegree."""

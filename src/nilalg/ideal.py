@@ -37,12 +37,13 @@ from dataclasses import InitVar, dataclass, field
 from functools import cache
 from itertools import chain, compress
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 import numpy as np
 
 from . import words as W
-from .formal import FieldError, FormalSum, accumulate, check_characteristic, coerce_coeff
+from .formal import (FieldError, FormalSum, accumulate, check_characteristic,
+                     clear_denominators, coerce_coeff)
 from .polarize import bare_instances
 
 LIFT_PRIME = 2_147_483_647
@@ -122,11 +123,11 @@ class Echelon:
     becomes a pivot at its first nonzero free column, by one rank-1 update of
     the table and one column drop.  add() says whether the rank mod q grew,
     raised records that answer for every added row, and rank is the rank mod
-    q until the reduced form is taken.  A table row is zero on the free
-    columns before its pivot, so seed() inserts reduced rows as they are.
-    Over Q the offered rows are also kept, scaled to integers.  The first read
-    of rows, pivots, rref_rows or residual takes the reduced form, the sparse
-    RREF rows ((pivot, free columns...), (1, entries...)), in both fields.
+    q until the reduced form is taken.  A table row is zero on the free columns
+    before its pivot, so seed() scatters reduced rows as they are into the table.
+    Over Q the offered rows are also kept, scaled to integers.  The first read of
+    rows, pivots or residual takes the reduced form, the sparse RREF rows
+    ((pivot, free columns...), (1, entries...)), in both fields.
     Mod p it is the table; over Q it is certified:
     1. take the RREF mod LIFT_PRIME;
     2. rationally reconstruct its entries, giving rows R;
@@ -243,8 +244,7 @@ class Echelon:
         """Is every offered row a the sum over pivots c of a[c] R_c?  Exact:
         den a[free] == a[pivots] @ (den table) on integer blocks of rows, den
         the common denominator, in int64 only if no sum can reach 2**63."""
-        den = lcm(*(x.denominator for x in fracs))
-        scaled = [x.numerator * (den // x.denominator) for x in fracs]
+        scaled, den = clear_denominators(fracs)
         top = max((abs(v) for _, vals in self._offered for v in vals), default=0)
         bound = top * max(den, len(pivots) * max(map(abs, scaled), default=0))
         dtype = np.int64 if bound < 2**63 else object
@@ -279,7 +279,7 @@ class Echelon:
         column = self._table[:, j]
         hit = np.flatnonzero(column)
         self._table[hit] = (self._table[hit] - np.outer(column[hit], row)) % q
-        self._insert([j], row[None])
+        self._insert([j])[0] = np.delete(row, j)
         return True
 
     def seed(self, rows):
@@ -289,38 +289,36 @@ class Echelon:
         is recorded in raised, with FieldError and ValueError."""
         if self._reduced is not None:
             raise ValueError("cannot add a row after the reduced form is taken")
-        block = np.zeros((len(rows), len(self._free)), dtype=np.int64)
         i, cols, vals = [], [], []
         for r, (c, v) in enumerate(rows):
-            i += [r] * len(c)
-            cols += c
-            vals += [coerce_coeff(x, self.q) for x in v]
+            i += [r] * (len(c) - 1)
+            cols += c[1:]
+            vals += [coerce_coeff(x, self.q) for x in v[1:]]
             if not self.p:
                 self._offer(c, v)
+        block = self._insert(np.searchsorted(self._free, [c[0] for c, _ in rows]))
         block[i, np.searchsorted(self._free, cols)] = vals
-        self._insert(np.searchsorted(self._free, [c[0] for c, _ in rows]), block)
         self.raised += [True] * len(rows)
 
     def _offer(self, cols, vals):
         """Keep a row over Q as integers, times its common denominator."""
-        den = lcm(*(v.denominator for v in vals))
-        vals = tuple(v.numerator * (den // v.denominator) for v in vals)
-        self._offered.append((tuple(cols), vals))
-        return vals
+        self._offered.append((tuple(cols), clear_denominators(vals)[0]))
+        return self._offered[-1][1]
 
-    def _insert(self, at, rows):
-        """Append rows on the free columns, pivots at positions at of them,
-        building the new table in one allocation."""
+    def _insert(self, at):
+        """Make pivots of the free columns at positions at, in one allocation:
+        the table without those columns, and one new row each, returned zero."""
         pivots = self._free[at]
         rank = len(self._pivots)
         self._slot[pivots] = np.arange(rank, rank + len(at))
         self._pivots += pivots.tolist()
-        keep = np.ones(len(self._free), dtype=bool)
-        keep[at] = False
-        table = np.empty((rank + len(rows), len(self._free) - len(at)), dtype=np.int64)
-        np.compress(keep, self._table, axis=1, out=table[:rank])
-        np.compress(keep, rows, axis=1, out=table[rank:])
-        self._table, self._free = table, self._free[keep]
+        kept = np.delete(np.arange(len(self._free)), at)
+        table = np.empty((rank + len(at), len(kept)), dtype=np.int64)
+        # mode="clip" copies straight into out, where "raise" copies through a buffer
+        np.take(self._table, kept, axis=1, out=table[:rank], mode="clip")
+        table[rank:] = 0
+        self._table, self._free = table, self._free[kept]
+        return table[rank:]
 
     def _reduce(self, coeffs):
         """The residual mod q of a row {column: coefficient}, on free columns."""
@@ -352,10 +350,6 @@ class Echelon:
     def contains(self, coeffs):
         return not self.residual(coeffs)
 
-    def rref_rows(self):
-        """The RREF rows as {column: field coefficient}, by pivot column."""
-        return [dict(zip(*row)) for row in self.rows]
-
 
 class ComponentBasis:
     """Row-reduced span of the relation ideal's component at one multidegree."""
@@ -384,11 +378,6 @@ class ComponentBasis:
 
     def vector_of(self, f):
         return {self.index[w]: c for w, c in f.terms.items()}
-
-    def sum_of(self, coeffs):
-        return FormalSum(
-            {self.words[c]: v for c, v in coeffs.items()}, self.d, self.p
-        )
 
 
 _cache = {}
@@ -532,11 +521,11 @@ def mirror(f):
     return f.map_words(lambda w: w[::-1])
 
 
-def substitute_unit(f, k, require_hypothesis=True):
+def substitute_unit(f, k):
     """Delete every occurrence of letter k (the substitution x_k -> 1).
 
-    With require_hypothesis, every term must have degree <= 3 in letter k
-    and positive degree in some other letter.
+    Every term must have degree <= 3 in letter k and positive degree in some
+    other letter.
     """
     for w in f.terms:
         deg_k = sum(1 for letter in w if letter == k)
@@ -544,7 +533,7 @@ def substitute_unit(f, k, require_hypothesis=True):
             raise W.WordError(
                 "term %s would collapse to the empty word" % W.format_word(w)
             )
-        if require_hypothesis and deg_k > 3:
+        if deg_k > 3:
             raise ValueError(
                 "term %s has degree %d > 3 in letter %d" % (W.format_word(w), deg_k, k)
             )

@@ -14,13 +14,12 @@ principal t x t minors, which is valid in every characteristic.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, compress, permutations, product, repeat
-from math import lcm
+from itertools import chain, combinations, compress, permutations, product, repeat
 from operator import add, itemgetter, le, mul, or_, sub
 
 from . import bounds as B
 from . import words as W
-from .formal import SparseSum, accumulate, check_characteristic, coerce_coeff
+from .formal import SparseSum, accumulate, check_characteristic, clear_denominators, coerce_coeff
 from .ideal import DEFAULT_LIMITS, Echelon
 
 
@@ -87,8 +86,7 @@ class Poly(SparseSum):
         over D^top, is brought into the field."""
         if len(values) != self.nvars:
             raise ValueError("need %d values, got %d" % (self.nvars, len(values)))
-        den = lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (den // v.denominator) for v in values]
+        nums, den = clear_denominators(values)
         terms = [(c, key.to_bytes(self.nvars, "big")) for key, c in self.terms.items()]
         top = max((sum(e) for _, e in terms), default=0)
         total = 0
@@ -239,25 +237,30 @@ def _cyclic_reps(deg, d):
     return dict.fromkeys(cyclic_min(a) for a in product(range(1, d + 1), repeat=deg))
 
 
-def subalgebra_reduce(gens, targets, p=0, limits=None, spans=None):
+def subalgebra_reduce(gens, targets, limits=None, spans=None):
     """Which targets lie in the span of products of the given generators?
 
     The targets share one X-multidegree delta (ValueError otherwise); this is
     the degreewise membership test in the graded ring (Derksen-Kemper,
-    Computational Invariant Theory, sec. 3).  The span at delta is built
-    recursively by _span from products of multipliers: the generators that
-    raise the rank at their own X-multidegree after all products there, the
-    indecomposable ones.  spans, X-multidegree -> (basis, multipliers, tags),
-    may be shared by calls with the same generators and p.  Each span has at
-    most limits.max_component_words monomials.  A target is tested against
-    the reduced form of the span's echelon, which _span lifts when it builds
-    the span here and which is taken at the first test otherwise.  Returns
-    one bool per target, in order.
+    Computational Invariant Theory, sec. 3).  The field is the targets':
+    every target and generator is a Poly of one universe (nvars, p),
+    FieldError otherwise.  The span at delta is built recursively by _span
+    from products of multipliers: the generators that raise the rank at their
+    own X-multidegree after all products there, the indecomposable ones.
+    spans, X-multidegree -> (basis, multipliers, tags), may be shared by
+    calls with the same generators.  Each span has at most
+    limits.max_component_words monomials.  A target is tested against the
+    reduced form of the span's echelon, which _span lifts when it builds the
+    span here and which is taken at the first test otherwise.  Returns one
+    bool per target, in order.
     """
     xdegs = {target.xdeg for target in targets}
     if len(xdegs) != 1:
         raise ValueError("targets must share one X-multidegree, got %r" % sorted(xdegs))
     (xdeg,) = xdegs
+    for h in chain(targets, gens):
+        targets[0].poly._check_same_universe(h.poly)
+    p = targets[0].poly.p
     limits = limits or DEFAULT_LIMITS
     spans = {} if spans is None else spans
     built = _span(gens, xdeg, p, limits, spans)
@@ -355,7 +358,7 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
     spans = {}
     for members in groups.values():
         group = [target for target, _ in members]
-        verdicts = subalgebra_reduce(allgens, group, p, limits, spans)
+        verdicts = subalgebra_reduce(allgens, group, limits, spans)
         for (_, case), ok in zip(members, verdicts):
             case["pass"] = bool(ok)
     return {
@@ -407,8 +410,9 @@ def matrix_values(n, d, matrices):
 
 def _integral(m):
     """(integer matrix, den) with m = integer matrix / den."""
-    den = lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
+    nums, den = clear_denominators([x for row in m for x in row])
+    nums = iter(nums)
+    return [[next(nums) for _ in row] for row in m], den
 
 
 def _adjugate(g):
@@ -431,13 +435,6 @@ def _adjugate(g):
                 rows[i] = [(top[k] * x - f * y) // prev for x, y in zip(rows[i], top)]
         prev = top[k]
     return [row[n:] for row in rows], prev
-
-
-def invert_matrix(g):
-    """Exact inverse of a rational matrix g = G / e, G integral: e adj(G) / det(G)."""
-    g, den = _integral(g)
-    adj, det = _adjugate(g)
-    return [[Fraction(x * den, det) for x in row] for row in adj]
 
 
 def conjugate_tuple(matrices, g):

@@ -1,11 +1,12 @@
 """Words of the free semigroup on d letters, multidegrees and power vectors.
 
 A word is a nonempty tuple of letter indices in 1..d.  The empty tuple ()
-is no word: validate_word, enumerate_words and format_word refuse it.  Two
-partial orders on words are provided: the run-profile order ``gtr_compare``
-(compares sorted run-length vectors letter by letter) and the coarser
-run-count order ``succ_compare`` (compares only the number of runs).  Both
-compare the per-letter keys of ``order_key``.
+is no word: validate_word, enumerate_words and format_word refuse it.
+Words are compared in two partial orders, the run-profile order "gtr" and
+the coarser run-count order "succ", through one key: order_key(w, d, order)
+is per letter the power_sort_key of w's sorted run vector (gtr) or minus
+its run count (succ), and compare_keys(a, b) compares two keys letter by
+letter: GREATER, LESS, EQUAL (equivalent words) or INCOMPARABLE.
 
 multiset_words is the one enumerator of multiset permutations: the words of
 a multidegree component, and the arrangements of a polarization (polarize),
@@ -19,8 +20,6 @@ GREATER = "greater"
 LESS = "less"
 EQUAL = "equal"
 INCOMPARABLE = "incomparable"
-PW_EQUIVALENT = "pw_equivalent"
-PROFILE_EQUIVALENT = "profile_equivalent"
 
 
 class WordError(ValueError):
@@ -76,23 +75,6 @@ def power_sort_key(v):
     return (-len(v), v)
 
 
-def compare_power(a, b):
-    """Compare two descending run vectors; returns GREATER/LESS/EQUAL.
-
-    Greater means: fewer runs, or equally many runs and lexicographically
-    greater at the first difference.  () is the maximum.
-    """
-    for v in (a, b):
-        if any(v[i] < v[i + 1] for i in range(len(v) - 1)):
-            raise WordError("power vector %r is not sorted descending" % (v,))
-        if any(e <= 0 for e in v):
-            raise WordError("power vector entries must be positive")
-    if a == b:
-        return EQUAL
-    ka, kb = power_sort_key(a), power_sort_key(b)
-    return GREATER if ka > kb else LESS
-
-
 def order_key(w, d, order):
     """The per-letter key that order compares, for letters 1..d: the
     power_sort_key of each sorted run vector for "gtr", minus each run count
@@ -123,27 +105,6 @@ def compare_keys(a, b):
     if down:
         return LESS
     return EQUAL
-
-
-def gtr_compare(a, b, d):
-    """The run-profile partial order on words.
-
-    a is greater than b when every letter's sorted run vector of a is >= the
-    one of b and at least one is strictly greater; PW_EQUIVALENT when all
-    sorted run vectors agree.
-    """
-    res = compare_keys(order_key(a, d, "gtr"), order_key(b, d, "gtr"))
-    return PW_EQUIVALENT if res == EQUAL else res
-
-
-def succ_compare(a, b, d):
-    """The coarser partial order comparing only run counts per letter.
-
-    Fewer runs is greater.  PROFILE_EQUIVALENT when the run counts agree for
-    every letter.
-    """
-    res = compare_keys(order_key(a, d, "succ"), order_key(b, d, "succ"))
-    return PROFILE_EQUIVALENT if res == EQUAL else res
 
 
 def is_subvector(a, b):

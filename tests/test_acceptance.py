@@ -229,3 +229,24 @@ def test_criterion_11_profile_degree_cap():
     verdict(11, ok and elapsed <= 5,
             "canonical-profile degree cap = 3d+3, attained with two "
             "(3)-letters, for d <= 6 (%.2fs)" % elapsed)
+
+
+def test_criterion_12_exact_5_2_0():
+    # C(5,2,0) = 15 = n(n+1)/2, Kuzmin's lower bound, as Shestakov-Zhukavets
+    # (2004) found; degree 14 is the last with a nonzero component
+    start = time.monotonic()
+    try:
+        r = I.nilpotency_degree(5, 2, 0, max_deg=16)
+    finally:
+        I.clear_cache()
+    elapsed = time.monotonic() - start
+    qdims = {tuple(row["delta"]): row["qdim"] for row in r.per_degree
+             if sum(row["delta"]) >= 13}
+    nonzero = {delta: qdim for delta, qdim in qdims.items() if qdim}
+    expected = {(10, 3): 1, (9, 4): 6, (8, 5): 13, (7, 6): 18,
+                (10, 4): 1, (9, 5): 3, (8, 6): 4, (7, 7): 5}
+    ok = (r.degree == 15 and r.to_json()["witness"] == "x1^4.x2^2.x1^3.x2.x1^2.x2.x1"
+          and nonzero == expected
+          and [delta for delta in qdims if sum(delta) == 15] == I._sorted_multidegrees(15, 2))
+    verdict(12, ok, "C(5,2,0) = %s in %.1fs (need 15; nonzero qdims at degrees 13-14 %r)"
+            % (r.degree, elapsed, nonzero))

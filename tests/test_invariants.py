@@ -303,12 +303,33 @@ def test_subalgebra_reduce_one_xdeg():
         V.subalgebra_reduce(gens, [])
 
 
+def test_subalgebra_reduce_refuses_q_generators_for_f3_targets():
+    # the field is the targets'; a generator over another field is refused
+    # before any span is built
+    gens = V.generator_set(2, 2, 0).all()
+    target = V.sigma_of_word(2, 2, 1, (1, 1, 2, 2), 3)
+    spans = {}
+    with pytest.raises(FieldError):
+        V.subalgebra_reduce(gens, [target], spans=spans)
+    assert spans == {}
+
+
+def test_subalgebra_reduce_refuses_f3_generators_for_q_targets():
+    gens = V.generator_set(2, 2, 3).all()
+    with pytest.raises(FieldError):
+        V.subalgebra_reduce(gens, [V.sigma_of_word(2, 2, 1, (1, 1, 2, 2))])
+    # and so does a target over F_3 next to one over Q
+    with pytest.raises(FieldError):
+        V.subalgebra_reduce(gens, [V.sigma_of_word(2, 2, 1, (1, 1, 2, 2), 3),
+                                   V.sigma_of_word(2, 2, 1, (1, 2, 1, 2))])
+
+
 def _spans_at(gens, p, xdegs):
     """The shared product spans after one subalgebra_reduce call per xdeg."""
     spans = {}
     for xdeg in xdegs:
         zero = V.InvariantPoly(V.Poly.zero(gens[0].poly.nvars, p), xdeg, 1, ())
-        assert V.subalgebra_reduce(gens, [zero], p, spans=spans) == [True]
+        assert V.subalgebra_reduce(gens, [zero], spans=spans) == [True]
     return spans
 
 
@@ -484,16 +505,19 @@ def test_mat_mul_fractions_schoolbook():
         assert V.mat_mul(a, b) == expected
 
 
-def test_invert_matrix():
+def test_adjugate():
+    # adj(g) g = g adj(g) = det(g) I, all in integers
     g = [[1, 2], [3, 5]]
-    ginv = V.invert_matrix(g)
-    prod = [
-        [sum(Fraction(g[i][k]) * ginv[k][j] for k in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-    assert prod == [[1, 0], [0, 1]]
+    adj, det = V._adjugate(g)
+    assert (adj, det) == ([[5, -2], [-3, 1]], -1)
+    rng = random.Random(59)
+    for n in range(1, 5):
+        g = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        adj, det = V._adjugate(g)
+        scalar = [[det * int(i == j) for j in range(n)] for i in range(n)]
+        assert V.mat_mul(adj, g) == V.mat_mul(g, adj) == scalar
     with pytest.raises(ValueError):
-        V.invert_matrix([[1, 2], [2, 4]])
+        V._adjugate([[1, 2], [2, 4]])
 
 
 def _gauss_jordan_inverse(g):
@@ -527,11 +551,8 @@ def test_fraction_free_inverse_and_conjugation():
         except StopIteration:
             singular += 1
             with pytest.raises(ValueError):
-                V.invert_matrix(g)
-            with pytest.raises(ValueError):
                 V.conjugate_tuple([g], g)
             continue
-        assert V.invert_matrix(g) == ginv
         tup = [_random_rational_matrix(rng, n) for _ in range(rng.randint(1, 3))]
         assert V.conjugate_tuple(tup, g) == [V.mat_mul(V.mat_mul(g, A), ginv) for A in tup]
         checked += 1

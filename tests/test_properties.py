@@ -69,8 +69,9 @@ def test_mirror_membership_equivalence():
         assert I.contains(n, p, f) == I.contains(n, p, I.mirror(f))
     # and on genuine members the mirror stays a member
     basis = I.component_basis(4, 2, 0, (3, 2))
-    for row in basis.echelon.rref_rows()[:10]:
-        assert I.contains(4, 0, I.mirror(basis.sum_of(row)))
+    for cols, vals in basis.echelon.rows[:10]:
+        f = FormalSum({basis.words[c]: v for c, v in zip(cols, vals)}, 2, 0)
+        assert I.contains(4, 0, I.mirror(f))
 
 
 @pytest.mark.parametrize("p", [0, 3, 5])
@@ -105,7 +106,8 @@ def test_unit_substitution_preserves_membership_p2():
         delta = rng.choice(deltas)
         d = len(delta)
         basis = I.component_basis(4, d, 2, delta)
-        rows = [basis.sum_of(row) for row in basis.echelon.rref_rows()]
+        rows = [FormalSum({basis.words[c]: v for c, v in zip(*row)}, d, 2)
+                for row in basis.echelon.rows]
         if not rows:
             continue
         f = rng.choice(rows)

@@ -66,7 +66,7 @@ def test_witness_search_p0():
     assert w is not None and len(w) == 9
     from nilalg.formal import FormalSum
 
-    assert not I.contains(4, 0, FormalSum.word(w, 2, 0))
+    assert not I.contains(4, 0, FormalSum({w: 1}, 2, 0))
 
 
 def test_witness_search_empty_range_above_degree():

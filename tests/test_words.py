@@ -40,52 +40,39 @@ def test_compare_power_example_chain():
     # (2,2,2) < (3,2,1) < (4,1,1) < (3,3) < (4,2) < (5,1) < (6) < empty,
     # all sorted vectors of total 6
     chain = [(2, 2, 2), (3, 2, 1), (4, 1, 1), (3, 3), (4, 2), (5, 1), (6,), ()]
-    for a, b in zip(chain, chain[1:]):
-        assert W.compare_power(a, b) == W.LESS
-        assert W.compare_power(b, a) == W.GREATER
-    for v in chain:
-        assert W.compare_power(v, v) == W.EQUAL
+    keys = [W.power_sort_key(v) for v in chain]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_compare_power_total_on_fixed_sum():
     vecs = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,), ()]
-    for a, b in itertools.combinations(vecs, 2):
-        assert W.compare_power(a, b) in (W.LESS, W.GREATER)
-
-
-def test_compare_power_requires_sorted():
-    with pytest.raises(ValueError):
-        W.compare_power((1, 2), (3,))
+    assert len({W.power_sort_key(v) for v in vecs}) == len(vecs)
 
 
 def test_gtr_compare_basic():
-    # same x2-power, x1-power (3) vs (2,1)
-    a = W.parse_word("x1^3.x2")
-    b = W.parse_word("x1^2.x2.x1")
-    assert W.gtr_compare(a, b, 2) == W.GREATER
-    assert W.gtr_compare(b, a, 2) == W.LESS
-    # pw-equivalent: same sorted run vectors, different words
-    c = W.parse_word("x1.x2.x1^2")
-    d_ = W.parse_word("x1^2.x2.x1")
-    assert W.gtr_compare(c, d_, 2) == W.PW_EQUIVALENT
+    # same x2-power, x1-power (3) vs (2,1); then two words with the same
+    # sorted run vectors, equal in the order
+    a, b, c, d_ = (W.order_key(W.parse_word(t), 2, "gtr")
+                   for t in ("x1^3.x2", "x1^2.x2.x1", "x1.x2.x1^2", "x1^2.x2.x1"))
+    assert W.compare_keys(a, b) == W.GREATER
+    assert W.compare_keys(b, a) == W.LESS
+    assert W.compare_keys(c, d_) == W.EQUAL
 
 
 def test_gtr_incomparable():
     a = W.parse_word("x1^3.x2.x1.x2^2")  # x1: (3,1) x2: (1,2)
     b = W.parse_word("x1^2.x2^3.x1^2.x2")  # x1: (2,2) x2: (3,1)
     # x1 powers: (3,1) > (2,2); x2 powers: (2,1) vs (3,1): less
-    assert W.gtr_compare(a, b, 2) == W.INCOMPARABLE
+    assert W.compare_keys(W.order_key(a, 2, "gtr"), W.order_key(b, 2, "gtr")) == W.INCOMPARABLE
 
 
 def test_succ_compare_counts_only():
-    a = W.parse_word("x1^3.x2")  # one x1-run
-    b = W.parse_word("x1^2.x2.x1")  # two x1-runs
-    assert W.succ_compare(a, b, 2) == W.GREATER
-    # same run counts but different run lengths: profile-equivalent
-    c = W.parse_word("x1^3.x2.x1")
-    d_ = W.parse_word("x1^2.x2.x1^2")
-    assert W.succ_compare(c, d_, 2) == W.PROFILE_EQUIVALENT
-    assert W.gtr_compare(c, d_, 2) == W.GREATER
+    # one x1-run against two; then equal run counts but different run
+    # lengths: equal in succ, greater in gtr
+    a, b, c, d_ = (W.parse_word(t) for t in ("x1^3.x2", "x1^2.x2.x1", "x1^3.x2.x1", "x1^2.x2.x1^2"))
+    assert W.compare_keys(W.order_key(a, 2, "succ"), W.order_key(b, 2, "succ")) == W.GREATER
+    assert W.compare_keys(W.order_key(c, 2, "succ"), W.order_key(d_, 2, "succ")) == W.EQUAL
+    assert W.compare_keys(W.order_key(c, 2, "gtr"), W.order_key(d_, 2, "gtr")) == W.GREATER
 
 
 def test_succ_greater_implies_gtr_greater():
@@ -93,9 +80,11 @@ def test_succ_greater_implies_gtr_greater():
     for delta in [(3, 1), (2, 2), (3, 2), (2, 2, 1)]:
         d = len(delta)
         ws = W.enumerate_words(delta)
+        succ = {w: W.order_key(w, d, "succ") for w in ws}
+        gtr = {w: W.order_key(w, d, "gtr") for w in ws}
         for a, b in itertools.permutations(ws, 2):
-            if W.succ_compare(a, b, d) == W.GREATER:
-                assert W.gtr_compare(a, b, d) == W.GREATER
+            if W.compare_keys(succ[a], succ[b]) == W.GREATER:
+                assert W.compare_keys(gtr[a], gtr[b]) == W.GREATER
 
 
 def test_gtr_acyclic_within_degree():
@@ -108,7 +97,7 @@ def test_gtr_acyclic_within_degree():
         edges = {
             (a, b)
             for a, b in itertools.permutations(ws, 2)
-            if W.gtr_compare(a, b, d) == W.GREATER
+            if W.compare_keys(W.order_key(a, d, "gtr"), W.order_key(b, d, "gtr")) == W.GREATER
         }
         remaining = set(ws)
         while remaining:

@@ -83,6 +83,8 @@ def exact_known(n, d, p):
         return 3 * d + 1  # p == 3
     if n == 4 and p == 0:
         return 10
+    if n == 5 and d == 2 and p == 0:
+        return 15  # nilpotency_degree(5, 2, 0, 16); Shestakov-Zhukavets 2004
     return None
 
 
@@ -235,8 +237,8 @@ def lower_bounds(n, d, p):
     if 0 < p <= n:
         emit("generator_count", d, "0 < p <= n", "DKZ 2002")
     emit("single_letter", n, "any p", "C(n,1) = n and monotonicity in d")
-    # exact_known knows nothing above n = 4 unless d = 1
-    for n_prev in range(n - 1 if d == 1 else min(n - 1, 4), 1, -1):
+    # exact_known knows nothing above n = 5 unless d = 1
+    for n_prev in range(n - 1 if d == 1 else min(n - 1, 5), 1, -1):
         v = exact_known(n_prev, d, p)
         if v is not None:
             emit(

@@ -12,16 +12,17 @@ The unbordered instances that lead a letter-moving relation are skipped
 (polarize): the relation puts each in the span of the kept instances and
 the letter multiples.  A build gathers every child's rows first; the left
 multiples still reduced in the parent's word order then enter the table in
-one step (Echelon.seed), and the other rows are reduced one at a time, the
-right multiples and the instances in one loop that stops at full rank.
+one step (Echelon.seed), the other left multiples in one block
+(Echelon.extend), and the right multiples and the instances one at a time,
+in one loop that stops at full rank.
 Only weakly decreasing multidegrees are built from children: any other is
 its sorted twin with the letters permuted, an automorphism, and a child
 that is not weakly decreasing is read from its twin the same way.
 Membership, normal forms and equivalence read a sum through one walk over
 its multidegree parts (_parts).
 
-Rows are reduced by one kernel (Echelon): the RREF mod p,
-kept live as an int64 table of rank x free columns that reduces each new row
+Rows are reduced by one kernel (Echelon): the RREF mod p, kept live as an
+int64 table of rank x free columns that takes rows in blocks, each reduced
 by one product; for p = 0 it runs mod LIFT_PRIME and is lifted to Q by
 rational reconstruction, certified by an exact check (multimodular echelon
 form, W. Stein, Modular Forms: A Computational Approach, AMS 2007, ch. 7; the
@@ -35,7 +36,7 @@ import time
 from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
 from functools import cache
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from fractions import Fraction
 from math import isqrt
 
@@ -47,6 +48,9 @@ from .formal import (FieldError, FormalSum, accumulate, check_characteristic,
 from .polarize import bare_instances
 
 LIFT_PRIME = 2_147_483_647
+# Echelon.extend takes rows in chunks of _CHUNK rows, eliminated among
+# themselves one row at a time
+_CHUNK = 16
 
 
 class GuardError(RuntimeError):
@@ -117,14 +121,17 @@ class Echelon:
 
     q is the prime p or, for p = 0, LIFT_PRIME.  The RREF mod q of the rows
     added so far is held as an int64 table of rank x free columns: row i has
-    1 at _pivots[i] and table[i] at the ascending _free columns.  add() gathers
-    the table rows at the new row's pivot entries a and subtracts their
-    combination a @ table in one exact product; a row that does not vanish
-    becomes a pivot at its first nonzero free column, by one rank-1 update of
-    the table and one column drop.  add() says whether the rank mod q grew,
-    raised records that answer for every added row, and rank is the rank mod
-    q until the reduced form is taken.  A table row is zero on the free columns
-    before its pivot, so seed() scatters reduced rows as they are into the table.
+    1 at _pivots[i] and table[i] at the ascending _free columns.  Rows go in
+    through one kernel, extend(), a chunk of _CHUNK rows at a time; add() is
+    its one-row case.  A chunk is reduced by the table rows it touches in one
+    exact product and eliminated within itself in row order: a row that does
+    not vanish becomes a pivot at its first nonzero free column.  The new
+    pivot columns are then cleared from the table in one product, and the new
+    rows go in with one copy of the table.  raised records, for every row,
+    whether it raised the rank mod q (what add() returns), as if the rows
+    went in one at a time, and rank is the rank mod q until the reduced form
+    is taken.  A table row is zero on the free columns before its pivot, so
+    seed() scatters reduced rows as they are into the table.
     Over Q the offered rows are also kept, scaled to integers.  The first read of
     rows, pivots or residual takes the reduced form, the sparse RREF rows
     ((pivot, free columns...), (1, entries...)), in both fields.
@@ -149,15 +156,15 @@ class Echelon:
         self.ncols = ncols
         self.p = p
         self.q = q = p or LIFT_PRIME
-        self._pivots = []  # pivot columns, in the order of the table rows
+        self._pivots = np.arange(0)  # pivot columns, in the order of the table rows
         self._free = np.arange(ncols)
-        self._slot = np.full(ncols, -1)  # column -> table row, -1 if free
         self._table = np.zeros((0, ncols), dtype=np.int64)
-        # a @ t is exact in int64 while sum_i a_i t_i < 2**63.  a_i < q, and
-        # t_i < q, or t_i < 2**16 once t is split into 16-bit limbs (for q
-        # above 2**16); a sum of more than _terms terms is taken in chunks
-        # (46 341 terms at MAX_PRIME, 65 537 at LIFT_PRIME)
-        self._limbs = q > 1 << 16
+        # a @ t is exact in int64 while sum_i a_i t_i < 2**63, a_i, t_i < q:
+        # for sums of at most _plain terms (1 at MAX_PRIME, 2 at LIFT_PRIME).
+        # Longer sums split t into 16-bit limbs (for q above 2**16) and take
+        # at most _terms terms at a time (46 341 at MAX_PRIME, 65 537 at
+        # LIFT_PRIME)
+        self._plain = (2**63 - 1) // (q - 1) ** 2
         self._terms = (2**63 - 1) // ((q - 1) * (min(q, 1 << 16) - 1))
         self._offered = []  # p = 0: the offered (columns, integers) rows
         self._reduced = None  # (rows, pivots) once taken
@@ -176,6 +183,14 @@ class Echelon:
         """{pivot column: index into rows}."""
         return self.lift()[1]
 
+    def independent(self, check=None):
+        """raised, exact over the field: mod p, and over Q where every row
+        raised the rank mod LIFT_PRIME (rows independent mod a prime are
+        independent over Q), it is already; else after the lift."""
+        if not (self.p or all(self.raised)):
+            self.lift(check)
+        return self.raised
+
     def lift(self, check=None):
         """The reduced form (rows, pivots), taken on the first call; check()
         may raise between steps."""
@@ -185,25 +200,36 @@ class Echelon:
                 self.raised = [True] * len(self.raised)
             self._reduced = (_rref_rows(pivots, free, table),
                              {c: i for i, c in enumerate(pivots)})
-            self._pivots = self._free = self._slot = self._table = self._offered = None
+            self._pivots = self._free = self._table = self._offered = None
         return self._reduced
 
-    def _combination(self, slots, a):
-        """sum_i a[i] table[slots[i]] mod q, exact in int64."""
-        q, step, out = self.q, self._terms, 0
-        for s in range(0, len(a), step):
-            t, x = self._table[slots[s:s + step]], a[s:s + step]
-            if self._limbs:
-                out += ((x @ (t >> 16)) % q << 16) + (x @ (t & 0xFFFF)) % q
-            else:
-                out += x @ t % q
-        return out % q
+    def _minus(self, a, x, t):
+        """(a - x @ t) mod q, exact in int64, for entries in [0, q); a new
+        array, with at most two more of a's size alive at once."""
+        q = self.q
+        if x.shape[1] <= self._plain:
+            # numpy's integer matmul is slower than a broadcast for one term
+            out = x * t if x.shape[1] == 1 else x @ t
+            np.subtract(a, out, out=out)
+            return np.remainder(out, q, out=out)
+        for s in range(0, x.shape[1], self._terms):
+            u, v = x[:, s:s + self._terms], t[s:s + self._terms]
+            low = u @ (v & 0xFFFF)
+            low %= q
+            out = u @ (v >> 16)
+            out %= q
+            out <<= 16
+            out += low
+            del low
+            a = np.subtract(a, out, out=out)
+            a %= q
+        return a
 
     def _rref_mod(self):
         """(pivots, free columns, table): the RREF mod q has 1 at pivots[i]
         and table[i] in the free columns."""
         order = np.argsort(self._pivots)
-        return [self._pivots[i] for i in order], self._free.tolist(), self._table[order]
+        return self._pivots[order].tolist(), self._free.tolist(), self._table[order]
 
     def _certified_rref(self, check):
         """(pivots, free columns, table) of the RREF over the field: the RREF
@@ -218,10 +244,7 @@ class Echelon:
             ech = self
             if q != self.q:
                 ech = Echelon(n, q)
-                for i, row in enumerate(self._offered):
-                    if i % 1024 == 0:
-                        check()
-                    ech.add(dict(zip(*row)))
+                ech.extend((dict(zip(*row)) for row in self._offered), check)
             pivots, free, table = ech._rref_mod()
             key = (-len(pivots), pivots)
             if best is None or key < best[0]:
@@ -261,32 +284,72 @@ class Echelon:
 
     def add(self, coeffs):
         """Insert a row {column: coefficient}; True if the rank mod q grew.
-        FieldError if a denominator is divisible by q; ValueError once the
-        reduced form is taken."""
+        The one-row case of extend()."""
+        self.extend([coeffs])
+        return self.raised[-1]
+
+    def extend(self, rows, check=None):
+        """Insert rows {column: coefficient} in their order, recording in
+        raised whether each raised the rank mod q, as one add() per row
+        would.  The rows go in chunks of _CHUNK rows; check() is called
+        before each.  FieldError if a denominator is divisible by q, before
+        any row of its chunk goes in; ValueError once the reduced form is
+        taken."""
         if self._reduced is not None:
             raise ValueError("cannot add a row after the reduced form is taken")
-        if not self.p:
-            coeffs = dict(zip(coeffs, self._offer(coeffs, coeffs.values())))
+        rows = iter(rows)
+        while chunk := list(islice(rows, _CHUNK)):
+            if check:
+                check()
+            self._insert_chunk(chunk)
+
+    def _insert_chunk(self, rows):
+        """Insert a chunk of rows:
+        1. reduce them by the table rows they touch in one product;
+        2. eliminate among them in row order: a row that does not vanish
+           becomes a pivot at its first nonzero free column, scaled to 1
+           there and cleared from the other rows;
+        3. clear the new pivot columns out of the table in one product;
+        4. insert the new pivot rows with one copy of the table."""
         q = self.q
-        row = self._reduce(coeffs)
-        nonzero = np.flatnonzero(row)
-        self.raised.append(bool(len(nonzero)))
-        if not len(nonzero):
-            return False
-        j = nonzero[0]
-        row = row * pow(int(row[j]), -1, q) % q
-        # clear the new pivot's column out of the table
-        column = self._table[:, j]
-        hit = np.flatnonzero(column)
-        self._table[hit] = (self._table[hit] - np.outer(column[hit], row)) % q
-        self._insert([j])[0] = np.delete(row, j)
-        return True
+        block = np.zeros((len(rows), self.ncols), dtype=np.int64)
+        for i, row in enumerate(rows):
+            vals = self._offer(row, row.values()) if not self.p else row.values()
+            block[i, list(row)] = [x % q if type(x) is int else coerce_coeff(x, q) for x in vals]
+        block, a = block[:, self._free], block[:, self._pivots]
+        used = np.flatnonzero(a.any(axis=0))
+        if len(used):  # the table rows the chunk touches: all, without a copy
+            touched = self._table if len(used) == len(self._table) else self._table[used]
+            block = self._minus(block, a[:, used], touched)
+        new, at = [], []
+        for i, row in enumerate(block):
+            nonzero = np.flatnonzero(row)
+            self.raised.append(bool(len(nonzero)))
+            if len(nonzero):
+                j = nonzero[0]
+                row *= pow(int(row[j]), -1, q)
+                row %= q
+                hit = np.flatnonzero(block[:, j])
+                hit = hit[hit != i]
+                if len(hit):
+                    block[hit] = (block[hit] - block[hit, j, None] * row) % q
+                new.append(i)
+                at.append(j)
+        if new:
+            block = block[new]
+            hit = np.flatnonzero(self._table[:, at].any(axis=1))
+            if len(hit) == len(self._table):  # every row: no gather and scatter
+                self._table = self._minus(self._table, self._table[:, at], block)
+            elif len(hit):
+                part = self._table[hit]
+                self._table[hit] = self._minus(part, part[:, at], block)
+            self._insert(np.array(at), block)
 
     def seed(self, rows):
         """Insert rows (columns, coefficients) already reduced, at once: each
         has 1 at its first column, a free column before its others where no
-        other row has an entry, and none at a held pivot.  As in add(), each
-        is recorded in raised, with FieldError and ValueError."""
+        other row has an entry, and none at a held pivot.  As in extend(),
+        each is recorded in raised, with FieldError and ValueError."""
         if self._reduced is not None:
             raise ValueError("cannot add a row after the reduced form is taken")
         i, cols, vals = [], [], []
@@ -305,34 +368,24 @@ class Echelon:
         self._offered.append((tuple(cols), clear_denominators(vals)[0]))
         return self._offered[-1][1]
 
-    def _insert(self, at):
+    def _insert(self, at, rows=None):
         """Make pivots of the free columns at positions at, in one allocation:
-        the table without those columns, and one new row each, returned zero."""
-        pivots = self._free[at]
+        the table without those columns, and one new row each, rows (given
+        on the old free columns) cut to the new ones, or zero."""
         rank = len(self._pivots)
-        self._slot[pivots] = np.arange(rank, rank + len(at))
-        self._pivots += pivots.tolist()
-        kept = np.delete(np.arange(len(self._free)), at)
+        self._pivots = np.concatenate((self._pivots, self._free[at]))
+        keep = np.ones(len(self._free), dtype=bool)
+        keep[at] = False
+        kept = np.flatnonzero(keep)
         table = np.empty((rank + len(at), len(kept)), dtype=np.int64)
         # mode="clip" copies straight into out, where "raise" copies through a buffer
         np.take(self._table, kept, axis=1, out=table[:rank], mode="clip")
-        table[rank:] = 0
+        if rows is None:
+            table[rank:] = 0
+        else:
+            np.take(rows, kept, axis=1, out=table[rank:], mode="clip")
         self._table, self._free = table, self._free[kept]
         return table[rank:]
-
-    def _reduce(self, coeffs):
-        """The residual mod q of a row {column: coefficient}, on free columns."""
-        q = self.q
-        cols = np.fromiter(coeffs, dtype=np.intp, count=len(coeffs))
-        vals = np.array([v % q if type(v) is int else coerce_coeff(v, q)
-                         for v in coeffs.values()], dtype=np.int64)
-        slots = self._slot[cols]
-        at = slots >= 0
-        row = np.zeros(len(self._free), dtype=np.int64)
-        row[np.searchsorted(self._free, cols[~at])] = vals[~at]
-        if at.any():
-            row = (row - self._combination(slots[at], vals[at])) % q
-        return row
 
     def residual(self, coeffs):
         """Exact residual of a vector as {column: field coefficient}, read
@@ -442,8 +495,8 @@ def component_basis(n, d, p, delta, limits=None):
         # pivot is still its smallest column here is already reduced: the
         # table keeps every row zero on the free columns before its pivot
         # (a later pivot f only alters rows with pivots before f), so such
-        # rows enter it in one step, unreduced.  The rest, the violators,
-        # are added one at a time, and each raises the rank.
+        # rows enter it in one step, unreduced.  The rest, the violators, go
+        # in as one block, and each raises the rank.
         column = [index[prefix + w] for w in words]
         for cols, vals in twin.echelon.rows:
             cols = [column[c] for c in cols]
@@ -454,9 +507,7 @@ def component_basis(n, d, p, delta, limits=None):
         column = [index[w + prefix] for w in words]
         right += [{column[c]: v for c, v in zip(cols, vals)} for cols, vals in twin.complement]
     ech.seed(seeded)
-    for row in violators:
-        limits.check_deadline(delta)
-        ech.add(row)
+    ech.extend(violators, lambda: limits.check_deadline(delta))
     left = len(ech.raised)
     offered = []  # the rows offered after the left multiples
     if not unsorted and sum(delta) >= n and ech.rank < len(ws):
@@ -706,7 +757,7 @@ def _equiv_group(basis, terms, key, order):
     ech = Echelon(tag + len(touching), basis.p)
     for j, row in enumerate(cut):
         row[tag + j] = 1
-        ech.add(row)
+    ech.extend(cut)
     resid = ech.residual({column[c]: v for c, v in low.items()})
     if any(c < tag for c in resid):
         return None

@@ -80,13 +80,13 @@ class Poly(SparseSum):
             ((k1 + k2, c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()), self.p))
 
     def evaluate(self, values):
-        """Evaluate at a full vector of ints or Fractions, in integers: with
-        D the lcm of the values' denominators, a term of degree k is scaled
-        by D^(top - k), top the largest degree, and one Fraction, the sum
-        over D^top, is brought into the field."""
+        """Evaluate at a full vector of ints or Fractions (ValueError
+        otherwise), in integers: with D the lcm of the values' denominators,
+        a term of degree k is scaled by D^(top - k), top the largest degree,
+        and one Fraction, the sum over D^top, is brought into the field."""
         if len(values) != self.nvars:
             raise ValueError("need %d values, got %d" % (self.nvars, len(values)))
-        nums, den = clear_denominators(values)
+        nums, den = _exact(values)
         terms = [(c, key.to_bytes(self.nvars, "big")) for key, c in self.terms.items()]
         top = max((sum(e) for _, e in terms), default=0)
         total = 0
@@ -250,9 +250,9 @@ def subalgebra_reduce(gens, targets, limits=None, spans=None):
     spans, X-multidegree -> (basis, multipliers, tags), may be shared by
     calls with the same generators.  Each span has at most
     limits.max_component_words monomials.  A target is tested against the
-    reduced form of the span's echelon, which _span lifts when it builds the
-    span here and which is taken at the first test otherwise.  Returns one
-    bool per target, in order.
+    reduced form of the span's echelon, taken here, under the deadline: a
+    span that no target asks about is never lifted.  Returns one bool per
+    target, in order.
     """
     xdegs = {target.xdeg for target in targets}
     if len(xdegs) != 1:
@@ -265,6 +265,7 @@ def subalgebra_reduce(gens, targets, limits=None, spans=None):
     spans = {} if spans is None else spans
     built = _span(gens, xdeg, p, limits, spans)
     ech, index = built or _echelon(spans[xdeg][0], xdeg, p, limits)
+    ech.lift(lambda: limits.check_deadline(xdeg))
     return [
         index.keys() >= target.poly.terms.keys()
         and ech.contains({index[m]: c for m, c in target.poly.terms.items()})
@@ -284,9 +285,10 @@ def _span(gens, xdeg, p, limits, spans):
     keeps the rows that raise the rank; in this order those tagged >= h span
     the offered rows tagged >= h.  A kept generator is independent of all
     products at xdeg, and one not kept is no multiplier, so no product needs
-    it.  The rows kept are those Echelon.raised marks after the lift: over
-    Q, where the certified rank exceeds the rank mod LIFT_PRIME, every row,
-    with its tag.  The multipliers end the basis."""
+    it.  The rows kept are those Echelon.independent marks, lifting only
+    over Q where a row did not raise the rank mod LIFT_PRIME; where the
+    certified rank exceeds it, every row is kept, with its tag.  The
+    multipliers end the basis."""
     if xdeg in spans:
         return None
     limits.check_deadline(xdeg)
@@ -309,8 +311,7 @@ def _span(gens, xdeg, p, limits, spans):
     rows.extend(g.poly for _, g in own)
     tags.extend((sum(xdeg), i) for i, _ in own)
     ech, index = _echelon(rows, xdeg, p, limits)
-    ech.lift(lambda: limits.check_deadline(xdeg))
-    kept = ech.raised  # read after the lift
+    kept = ech.independent(lambda: limits.check_deadline(xdeg))
     spans[xdeg] = (list(compress(rows, kept)),
                    [g for (_, g), ok in zip(own, kept[len(rows) - len(own):]) if ok],
                    list(compress(tags, kept)))
@@ -318,13 +319,14 @@ def _span(gens, xdeg, p, limits, spans):
 
 
 def _echelon(rows, xdeg, p, limits):
-    """(echelon of the rows, monomial index)."""
+    """(echelon of the rows, monomial index); the rows go in as one block,
+    the deadline checked between its chunks."""
     monomials = set().union(*(poly.terms for poly in rows))
     limits.check_columns("invariant component %r" % (xdeg,), len(monomials))
     index = {m: i for i, m in enumerate(sorted(monomials))}
     ech = Echelon(len(index), p)
-    for poly in rows:
-        ech.add({index[m]: c for m, c in poly.terms.items()})
+    ech.extend(({index[m]: c for m, c in poly.terms.items()} for poly in rows),
+               lambda: limits.check_deadline(xdeg))
     return ech, index
 
 
@@ -408,9 +410,19 @@ def matrix_values(n, d, matrices):
     return values
 
 
+def _exact(values):
+    """clear_denominators(values), refusing with a ValueError a value that
+    is not an int or a Fraction (a float has no denominator)."""
+    try:
+        return clear_denominators(values)
+    except AttributeError:
+        bad = next((v for v in values if not isinstance(v, (int, Fraction))), None)
+        raise ValueError("need ints or Fractions, got %r" % (bad,)) from None
+
+
 def _integral(m):
     """(integer matrix, den) with m = integer matrix / den."""
-    nums, den = clear_denominators([x for row in m for x in row])
+    nums, den = _exact([x for row in m for x in row])
     nums = iter(nums)
     return [[next(nums) for _ in row] for row in m], den
 
@@ -440,7 +452,8 @@ def _adjugate(g):
 def conjugate_tuple(matrices, g):
     """g * A_k * g^-1 for every matrix in the tuple, over the rationals: for
     g = G / e and A = M / a with G, M integral, G M adj(G) / (a det G), one
-    Fraction made per entry."""
+    Fraction made per entry.  Entries are ints or Fractions (ValueError
+    otherwise)."""
     g = _integral(g)[0]
     adj, det = _adjugate(g)
     return [[[Fraction(x, den * det) for x in row] for row in mat_mul(mat_mul(g, M), adj)]

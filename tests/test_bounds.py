@@ -21,7 +21,21 @@ def test_exact_known_table():
     assert B.exact_known(3, 4, 3) == 13  # 3d + 1 for p = 3
     assert B.exact_known(4, 2, 0) == 10
     assert B.exact_known(4, 2, 3) is None
-    assert B.exact_known(5, 2, 0) is None
+    assert B.exact_known(5, 2, 0) == 15  # the degree scan over Q
+    # no computation or cited proof gives C(5,2) at any p > 0, nor C(5,3,0)
+    for p in (2, 3, 5, 7):
+        assert B.exact_known(5, 2, p) is None
+    assert B.exact_known(5, 3, 0) is None
+    assert B.exact_known(6, 2, 0) is None
+
+
+def test_c520_tightens_the_recursion_and_lower_bounds():
+    # C(5,2,0) = 15 replaces the recursive 12d + 1 = 25 wherever n // i = 5
+    assert B.recursive_bound(10, 2, 0) == 167
+    assert B.recursive_bound(30, 2, 0) == 3011
+    low = {b.formula_id: b.value_exact for b in B.lower_bounds(6, 2, 0)}
+    assert low["monotone_from_n5"] == 15
+    assert "monotone_from_n4" not in low
 
 
 def test_recursive_bound_n5_is_12d_plus_1():

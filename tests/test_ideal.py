@@ -748,6 +748,107 @@ def test_echelon_seed_refusals():
         I.Echelon(3, 7).seed([((0, 2), (1, Fraction(1, 7)))])
 
 
+def _kernel_rows(rng, p, ncols, count, earlier=()):
+    """count rows {column: entry} on ncols columns: zero rows, repeats and
+    combinations of earlier rows, which raise no rank, Fraction entries
+    with denominators prime to p, and sparse or dense random rows."""
+    dens = [d for d in (1, 2, 3, 5, 7) if p == 0 or d % p]
+    big = [I.LIFT_PRIME, I.LIFT_PRIME + 1] if p == 0 else [p - 1, p + 1]
+
+    def entry():
+        if rng.random() < 0.1:
+            return rng.choice(big)
+        return Fraction(rng.randint(-4, 4), rng.choice(dens))
+
+    rows = list(earlier)
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:
+            row = {c: 0 for c in rng.sample(range(ncols), rng.randint(0, min(2, ncols)))}
+        elif kind < 0.2 and rows:
+            row = dict(rng.choice(rows))
+        elif kind < 0.3 and len(rows) > 1:
+            a, b = rng.sample(rows, 2)
+            row = {c: 2 * a.get(c, 0) - b.get(c, 0) for c in {**a, **b}}
+        else:
+            row = {c: entry() for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+        rows.append(row)
+    return rows[len(earlier):]
+
+
+@pytest.mark.parametrize("p", [2, 3, _LARGEST_PRIME, 0])
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_echelon_extend_matches_add(monkeypatch, p, seed):
+    # one extend call after rows added one at a time leaves the echelon as
+    # adding every row would: the same raised, rank and RREF mod q, and the
+    # same rows, pivots and raised after the reduced form; the blocks cross
+    # chunk boundaries
+    rng = random.Random(seed)
+    chunks = []
+    insert_chunk = I.Echelon._insert_chunk
+
+    def recording(self, rows):
+        chunks.append(len(rows))
+        return insert_chunk(self, rows)
+
+    monkeypatch.setattr(I.Echelon, "_insert_chunk", recording)
+    for ncols, before, count in [(1, 0, 3), (6, 0, 5), (9, 3, 20), (30, 10, 40), (120, 60, 80)]:
+        # independent rows first, 1 at their own column below before
+        held = [{i: 1, **{c + before: v for c, v in row.items()}}
+                for i, row in enumerate(_kernel_rows(rng, p, ncols - before, before))]
+        block = _kernel_rows(rng, p, ncols, count, held)
+        one, many = I.Echelon(ncols, p), I.Echelon(ncols, p)
+        for row in held:
+            one.add(row)
+            many.add(row)
+        chunks.clear()
+        many.extend(block)
+        assert chunks == [min(I._CHUNK, count - k) for k in range(0, count, I._CHUNK)]
+        for row in block:
+            one.add(row)
+        assert (many.raised, many.rank) == (one.raised, one.rank)
+        assert many._offered == one._offered
+        (pivots, free, table), mod_q = many._rref_mod(), one._rref_mod()
+        assert (pivots, free, table.tolist()) == (mod_q[0], mod_q[1], mod_q[2].tolist())
+        if p or ncols < 100:  # the certified lift of the widest case takes minutes
+            assert (many.rows, many.pivots) == (one.rows, one.pivots)
+            assert (many.raised, many.rank) == (one.raised, one.rank)
+
+
+def test_echelon_extend_refuses_a_chunk_whole():
+    # 1/7 has no residue mod 7: the chunk is refused before any row goes in
+    ech = I.Echelon(3, 7)
+    ech.add({0: 1, 1: 2})
+    with pytest.raises(FieldError):
+        ech.extend([{1: 1}, {2: 3}, {0: Fraction(1, 7)}])
+    assert (ech.raised, ech.rank) == ([True], 1)
+    ech.extend([])
+    assert ech.rows == [((0, 1), (1, 2))]
+    with pytest.raises(ValueError):
+        ech.extend([])
+
+
+def test_echelon_extend_rows_lost_mod_lift_prime():
+    # every row of the block times LIFT_PRIME: none raises the rank mod
+    # LIFT_PRIME, so the lift must mark every row, as after one add per row
+    rng = random.Random(5)
+    rows = [{c: rng.randint(-3, 3) for c in range(1, 7)} for _ in range(5)]
+    scaled = [{c: v * I.LIFT_PRIME for c, v in row.items()} for row in rows]
+    one, many = I.Echelon(7, 0), I.Echelon(7, 0)
+    for ech in (one, many):
+        ech.add({0: 1, 3: Fraction(1, 2)})
+    many.extend(scaled)
+    for row in scaled:
+        one.add(row)
+    assert many.raised == one.raised == [True] + [False] * 5
+    assert many.rank == one.rank == 1
+    assert many.rows == one.rows
+    assert many.rank == one.rank == 6
+    assert many.raised == one.raised == [True] * 6
+
+
 def test_q_echelon_crt_beyond_one_prime(monkeypatch):
     # 100019/100003 has numerator and denominator above sqrt(P/2), so no
     # single prime reconstructs it: the lift combines primes by CRT
@@ -853,32 +954,47 @@ def test_component_rrefs_pinned(clean_cache, build, p, digest):
 
 
 def test_left_multiples_seeded_or_added(monkeypatch, clean_cache):
-    # C(4,2,0) seeds the left multiples whose shifted pivot stays first and
-    # adds the rest (the violators) with the other rows, one call per row;
-    # each of the 530 + 1 008 = 1 538 rows takes exactly one of the two (the
-    # children that are not weakly decreasing are read from their twins, not
-    # built), and every built component seeds all its children's rows in one
-    # call
-    events = []  # (echelon, "add" or the number of rows seeded)
-    add, seed = I.Echelon.add, I.Echelon.seed
+    # C(4,2,0) seeds the left multiples whose shifted pivot stays first,
+    # inserts the rest (the violators) in one extend call per component, and
+    # adds the other rows one call per row; each of the 462 + 68 + 1 008 =
+    # 1 538 rows takes exactly one of the three ways (the children that are
+    # not weakly decreasing are read from their twins, not built), and every
+    # built component seeds all its children's rows in one call
+    events = []  # (echelon, "add", "extend" or "seed", number of rows)
+    add, extend, seed = I.Echelon.add, I.Echelon.extend, I.Echelon.seed
+    adding = []  # nonempty inside add, whose one-row extend is not counted
 
     def counted_add(self, row):
-        events.append((self, "add"))
-        return add(self, row)
+        events.append((self, "add", 1))
+        adding.append(row)
+        try:
+            return add(self, row)
+        finally:
+            adding.pop()
+
+    def counted_extend(self, rows, check=None):
+        rows = list(rows)
+        if not adding:
+            events.append((self, "extend", len(rows)))
+        return extend(self, rows, check)
 
     def counted_seed(self, rows):
-        events.append((self, len(rows)))
+        events.append((self, "seed", len(rows)))
         return seed(self, rows)
 
     monkeypatch.setattr(I.Echelon, "add", counted_add)
+    monkeypatch.setattr(I.Echelon, "extend", counted_extend)
     monkeypatch.setattr(I.Echelon, "seed", counted_seed)
     I.clear_cache()
     assert I.nilpotency_degree(4, 2, 0, 11).degree == 10
-    seeds = [(ech, k) for ech, k in events if k != "add"]
-    assert len(events) - len(seeds) == 530
-    assert sum(k for _, k in seeds) == 1008
-    built = {id(basis.echelon) for basis in I._cache.values()}
-    assert sorted(id(ech) for ech, _ in seeds) == sorted(built)
+    built = sorted(id(basis.echelon) for basis in I._cache.values())
+    ways = {way: [(id(ech), k) for ech, w, k in events if w == way]
+            for way in ("add", "extend", "seed")}
+    assert len(ways["add"]) == 462
+    assert sum(k for _, k in ways["extend"]) == 68
+    assert sum(k for _, k in ways["seed"]) == 1008
+    for way in ("extend", "seed"):
+        assert sorted(ech for ech, _ in ways[way]) == built
 
 
 @pytest.mark.parametrize("call", [

@@ -578,3 +578,48 @@ def test_conjugation_invariance_numeric():
         inv = polys[checked % len(polys)]
         assert inv.poly.evaluate(v1) == inv.poly.evaluate(v2)
         checked += 1
+
+
+def test_conjugate_tuple_refuses_floats():
+    # a float has no exact value in Q: refused, in a matrix or in g
+    with pytest.raises(ValueError, match="need ints or Fractions, got 0.5"):
+        V.conjugate_tuple([[[0.5, 1], [2, 3]]], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="got 1.0"):
+        V.conjugate_tuple([[[1, 1], [2, 3]]], [[1.0, 0], [0, 1]])
+
+
+def test_evaluate_refuses_floats():
+    x = V.Poly.variable(0, 2, 0)
+    with pytest.raises(ValueError, match="need ints or Fractions, got 0.5"):
+        x.evaluate([0.5, 1])
+    assert x.evaluate([Fraction(1, 2), 1]) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_span_lifts_only_spans_that_a_target_asks_about(monkeypatch, p):
+    # mod p the rows kept are those that raised the rank: a span that no
+    # target asks about takes no reduced form, and each span asked about
+    # takes it once
+    built, lifted, asked = {}, [], set()
+    echelon, lift, reduce_ = V._echelon, Echelon.lift, V.subalgebra_reduce
+
+    def recording_echelon(rows, xdeg, p, limits):
+        out = echelon(rows, xdeg, p, limits)
+        built[id(out[0])] = out[0], xdeg  # kept alive, so no id is reused
+        return out
+
+    def recording_lift(self, check=None):
+        if self._reduced is None:
+            lifted.append(id(self))
+        return lift(self, check)
+
+    def recording_reduce(gens, targets, limits=None, spans=None):
+        asked.add(targets[0].xdeg)
+        return reduce_(gens, targets, limits, spans)
+
+    monkeypatch.setattr(V, "_echelon", recording_echelon)
+    monkeypatch.setattr(Echelon, "lift", recording_lift)
+    monkeypatch.setattr(V, "subalgebra_reduce", recording_reduce)
+    assert V.generation_check(2, 2, p, 4)["summary"]["all_pass"]
+    assert sorted(built[e][1] for e in lifted) == sorted(asked)
+    assert {xdeg for _, xdeg in built.values()} - asked

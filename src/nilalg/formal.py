@@ -21,6 +21,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from numbers import Rational
 
 from . import words as W
 
@@ -52,18 +53,20 @@ def check_characteristic(p):
 
 
 def coerce_coeff(c, p):
-    """Bring a scalar into canonical stored form for characteristic p: over
-    Q an int for an integral value, else a Fraction; mod p an int."""
-    if p == 0:
-        if type(c) is not int:
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            c = c.numerator if c.denominator == 1 else c
-        return c
-    if isinstance(c, Fraction):
-        if c.denominator % p == 0:
-            raise FieldError("denominator of %s not invertible mod %d" % (c, p))
-        return c.numerator * pow(c.denominator, -1, p) % p
-    return c % p
+    """Bring a rational scalar into canonical stored form for characteristic
+    p: over Q an int for an integral value, else a Fraction; mod p an int.
+    ValueError for any other value, such as a float."""
+    if type(c) is int:
+        return c % p if p else c
+    if type(c) is not Fraction:
+        if not isinstance(c, Rational):
+            raise ValueError("coefficient %r is not rational" % (c,))
+        c = Fraction(c)
+    if not p:
+        return c.numerator if c.denominator == 1 else c
+    if c.denominator % p == 0:
+        raise FieldError("denominator of %s not invertible mod %d" % (c, p))
+    return c.numerator * pow(c.denominator, -1, p) % p
 
 
 def clear_denominators(values):

@@ -11,10 +11,9 @@ left multiples: the rest, L_{delta-e_k} x_k, lies in sum_j x_j I_{delta-e_j}.
 The unbordered instances that lead a letter-moving relation are skipped
 (polarize): the relation puts each in the span of the kept instances and
 the letter multiples.  A build gathers every child's rows first; the left
-multiples still reduced in the parent's word order then enter the table in
-one step (Echelon.seed), the other left multiples in one block
-(Echelon.extend), and the right multiples and the instances one at a time,
-in one loop that stops at full rank.
+multiples, each reduced at its own pivot, then enter the table in one step
+(Echelon.seed), and the right multiples and the instances one at a time, in
+one loop that stops at full rank.
 Only weakly decreasing multidegrees are built from children: any other is
 its sorted twin with the letters permuted, an automorphism, and a child
 that is not weakly decreasing is read from its twin the same way.
@@ -121,17 +120,15 @@ class Echelon:
 
     q is the prime p or, for p = 0, LIFT_PRIME.  The RREF mod q of the rows
     added so far is held as an int64 table of rank x free columns: row i has
-    1 at _pivots[i] and table[i] at the ascending _free columns.  Rows go in
-    through one kernel, extend(), a chunk of _CHUNK rows at a time; add() is
-    its one-row case.  A chunk is reduced by the table rows it touches in one
-    exact product and eliminated within itself in row order: a row that does
-    not vanish becomes a pivot at its first nonzero free column.  The new
-    pivot columns are then cleared from the table in one product, and the new
-    rows go in with one copy of the table.  raised records, for every row,
-    whether it raised the rank mod q (what add() returns), as if the rows
-    went in one at a time, and rank is the rank mod q until the reduced form
-    is taken.  A table row is zero on the free columns before its pivot, so
-    seed() scatters reduced rows as they are into the table.
+    1 at _pivots[i] and table[i] at the ascending _free columns, and is zero
+    on the free columns before its pivot (column order).  Rows go in through
+    one kernel, extend(), a chunk of _CHUNK rows at a time; add() is its
+    one-row case.  seed() takes rows already reduced at pivots of their own,
+    and alone restores the column order they break.  raised records, for
+    every row, whether it raised the rank mod q (what add() returns), as if
+    the rows went in one at a time, and rank is the rank mod q until the
+    reduced form is taken.  check() is called before each chunk and between
+    the steps of the lift, and may raise.
     Over Q the offered rows are also kept, scaled to integers.  The first read of
     rows, pivots or residual takes the reduced form, the sparse RREF rows
     ((pivot, free columns...), (1, entries...)), in both fields.
@@ -152,9 +149,10 @@ class Echelon:
     is refused after it.
     """
 
-    def __init__(self, ncols, p):
+    def __init__(self, ncols, p, check=None):
         self.ncols = ncols
         self.p = p
+        self._check = check or (lambda: None)
         self.q = q = p or LIFT_PRIME
         self._pivots = np.arange(0)  # pivot columns, in the order of the table rows
         self._free = np.arange(ncols)
@@ -183,19 +181,18 @@ class Echelon:
         """{pivot column: index into rows}."""
         return self.lift()[1]
 
-    def independent(self, check=None):
+    def independent(self):
         """raised, exact over the field: mod p, and over Q where every row
         raised the rank mod LIFT_PRIME (rows independent mod a prime are
         independent over Q), it is already; else after the lift."""
         if not (self.p or all(self.raised)):
-            self.lift(check)
+            self.lift()
         return self.raised
 
-    def lift(self, check=None):
-        """The reduced form (rows, pivots), taken on the first call; check()
-        may raise between steps."""
+    def lift(self):
+        """The reduced form (rows, pivots), taken on the first call."""
         if self._reduced is None:
-            pivots, free, table = self._certified_rref(check or (lambda: None))
+            pivots, free, table = self._certified_rref()
             if len(pivots) > len(self._pivots):
                 self.raised = [True] * len(self.raised)
             self._reduced = (_rref_rows(pivots, free, table),
@@ -231,20 +228,20 @@ class Echelon:
         order = np.argsort(self._pivots)
         return self._pivots[order].tolist(), self._free.tolist(), self._table[order]
 
-    def _certified_rref(self, check):
+    def _certified_rref(self):
         """(pivots, free columns, table) of the RREF over the field: the RREF
         mod q where it is exact (mod p, or at full rank), else steps 1-4."""
-        check()
+        self._check()
         if self.p or len(self._pivots) == self.ncols:
             return self._rref_mod()
         n = self.ncols
         best = None  # [(-rank, pivots), modulus, RREF table mod the modulus]
         for q in _lift_primes():
-            check()
+            self._check()
             ech = self
             if q != self.q:
-                ech = Echelon(n, q)
-                ech.extend((dict(zip(*row)) for row in self._offered), check)
+                ech = Echelon(n, q, self._check)
+                ech.extend(dict(zip(*row)) for row in self._offered)
             pivots, free, table = ech._rref_mod()
             key = (-len(pivots), pivots)
             if best is None or key < best[0]:
@@ -260,10 +257,10 @@ class Echelon:
             if any(x is None for x in fracs):
                 continue
             where = where.reshape(best[2].shape)
-            if self._spans(pivots, free, fracs, where, check):
+            if self._spans(pivots, free, fracs, where):
                 return pivots, free, np.array(fracs, dtype=object)[where]
 
-    def _spans(self, pivots, free, fracs, where, check):
+    def _spans(self, pivots, free, fracs, where):
         """Is every offered row a the sum over pivots c of a[c] R_c?  Exact:
         den a[free] == a[pivots] @ (den table) on integer blocks of rows, den
         the common denominator, in int64 only if no sum can reach 2**63."""
@@ -274,7 +271,7 @@ class Echelon:
         scaled = np.array(scaled, dtype=dtype)[where]
         step = max(1, 2**14 // max(1, self.ncols))
         for start in range(0, len(self._offered), step):
-            check()
+            self._check()
             block = np.zeros((min(step, len(self._offered) - start), self.ncols), dtype)
             for i, (cols, vals) in enumerate(self._offered[start:start + step]):
                 block[i, list(cols)] = vals
@@ -288,23 +285,30 @@ class Echelon:
         self.extend([coeffs])
         return self.raised[-1]
 
-    def extend(self, rows, check=None):
+    def extend(self, rows):
         """Insert rows {column: coefficient} in their order, recording in
         raised whether each raised the rank mod q, as one add() per row
-        would.  The rows go in chunks of _CHUNK rows; check() is called
-        before each.  FieldError if a denominator is divisible by q, before
-        any row of its chunk goes in; ValueError once the reduced form is
-        taken."""
+        would.  The rows go in chunks of _CHUNK rows, check() before each.
+        FieldError if a denominator is divisible by q, before any row of its
+        chunk goes in; ValueError once the reduced form is taken."""
         if self._reduced is not None:
             raise ValueError("cannot add a row after the reduced form is taken")
         rows = iter(rows)
         while chunk := list(islice(rows, _CHUNK)):
-            if check:
-                check()
+            self._check()
             self._insert_chunk(chunk)
 
     def _insert_chunk(self, rows):
-        """Insert a chunk of rows:
+        """Insert a chunk of rows {column: coefficient} as one block."""
+        q = self.q
+        block = np.zeros((len(rows), self.ncols), dtype=np.int64)
+        for i, row in enumerate(rows):
+            vals = self._offer(row, row.values()) if not self.p else row.values()
+            block[i, list(row)] = [x % q if type(x) is int else coerce_coeff(x, q) for x in vals]
+        self._reduce(block)
+
+    def _reduce(self, block):
+        """Insert a block of rows over all columns, entries in [0, q):
         1. reduce them by the table rows they touch in one product;
         2. eliminate among them in row order: a row that does not vanish
            becomes a pivot at its first nonzero free column, scaled to 1
@@ -312,10 +316,6 @@ class Echelon:
         3. clear the new pivot columns out of the table in one product;
         4. insert the new pivot rows with one copy of the table."""
         q = self.q
-        block = np.zeros((len(rows), self.ncols), dtype=np.int64)
-        for i, row in enumerate(rows):
-            vals = self._offer(row, row.values()) if not self.p else row.values()
-            block[i, list(row)] = [x % q if type(x) is int else coerce_coeff(x, q) for x in vals]
         block, a = block[:, self._free], block[:, self._pivots]
         used = np.flatnonzero(a.any(axis=0))
         if len(used):  # the table rows the chunk touches: all, without a copy
@@ -347,9 +347,11 @@ class Echelon:
 
     def seed(self, rows):
         """Insert rows (columns, coefficients) already reduced, at once: each
-        has 1 at its first column, a free column before its others where no
-        other row has an entry, and none at a held pivot.  As in extend(),
-        each is recorded in raised, with FieldError and ValueError."""
+        has 1 at its first column, its pivot, where no other row, held or
+        seeded, has an entry, and none at a held pivot.  They are scattered
+        into the table as they are; if one has an entry before its pivot,
+        the table is then put back into column order.  As in extend(), each
+        is recorded in raised, with FieldError and ValueError."""
         if self._reduced is not None:
             raise ValueError("cannot add a row after the reduced form is taken")
         i, cols, vals = [], [], []
@@ -362,6 +364,26 @@ class Echelon:
         block = self._insert(np.searchsorted(self._free, [c[0] for c, _ in rows]))
         block[i, np.searchsorted(self._free, cols)] = vals
         self.raised += [True] * len(rows)
+        if all(min(c) == c[0] for c, _ in rows):
+            return
+        # Modulo the rows a free column f is e_f and a pivot column c_i is
+        # -table[i].  These images, one row per free column, are eliminated
+        # with the columns reversed: the pivots u of that, each independent
+        # of the images of the later columns, are the new free columns, and
+        # its table R gives image(w) = sum_u R[u, w] image(u) for each other
+        # column w.  The RREF row of w is e_w - sum_u R[u, w] e_u, so the new
+        # table is -R transposed.
+        n, q, free = self.ncols, self.q, self._free
+        images = np.zeros((len(free), n), dtype=np.int64)
+        images[np.arange(len(free)), free] = 1
+        images[:, self._pivots] = -self._table.T % q
+        quotient = Echelon(n, q)
+        quotient._reduce(images[:, ::-1])
+        normal = n - 1 - quotient._pivots
+        order = np.argsort(normal)
+        self._pivots, self._free = n - 1 - quotient._free, normal[order]
+        self._table = np.negative(quotient._table[order].T, order="C")
+        self._table %= q
 
     def _offer(self, cols, vals):
         """Keep a row over Q as integers, times its common denominator."""
@@ -465,7 +487,7 @@ def component_basis(n, d, p, delta, limits=None):
 
     ws = _component_words(delta, limits)
     index = {w: i for i, w in enumerate(ws)}
-    ech = Echelon(len(ws), p)
+    ech = Echelon(len(ws), p, lambda: limits.check_deadline(delta))
 
     # Every child's rows are gathered first.  The RREF rows of a component
     # are read from the component of its weakly decreasing permutation (its
@@ -480,7 +502,7 @@ def component_basis(n, d, p, delta, limits=None):
     parts = [((), delta)] if unsorted else [
         ((k + 1,), delta[:k] + (delta[k] - 1,) + delta[k + 1:])
         for k in range(d) if delta[k] and sum(delta) > n]
-    seeded, violators, right = [], [], []
+    left, right = [], []
     for prefix, part in parts:
         order = sorted(range(d), key=lambda k: -part[k])
         try:
@@ -491,35 +513,23 @@ def component_basis(n, d, p, delta, limits=None):
         words = twin.words if order == sorted(order) else [
             tuple(order[x - 1] + 1 for x in w) for w in twin.words]
         # A mapped row keeps its pivot, a column where no other row has an
-        # entry, and the blocks of different k share no column.  A row whose
-        # pivot is still its smallest column here is already reduced: the
-        # table keeps every row zero on the free columns before its pivot
-        # (a later pivot f only alters rows with pivots before f), so such
-        # rows enter it in one step, unreduced.  The rest, the violators, go
-        # in as one block, and each raises the rank.
+        # entry, and the blocks of different k share no column: every left
+        # multiple is seeded, reduced at its own pivot
         column = [index[prefix + w] for w in words]
-        for cols, vals in twin.echelon.rows:
-            cols = [column[c] for c in cols]
-            if min(cols) == cols[0]:
-                seeded.append((cols, vals))
-            else:
-                violators.append(dict(zip(cols, vals)))
+        left += [([column[c] for c in cols], vals) for cols, vals in twin.echelon.rows]
         column = [index[w + prefix] for w in words]
         right += [{column[c]: v for c, v in zip(cols, vals)} for cols, vals in twin.complement]
-    ech.seed(seeded)
-    ech.extend(violators, lambda: limits.check_deadline(delta))
-    left = len(ech.raised)
+    ech.seed(left)
     offered = []  # the rows offered after the left multiples
     if not unsorted and sum(delta) >= n and ech.rank < len(ws):
         # then the unbordered polarization instances at exactly delta
         for row in chain(right, bare_instances(n, delta, p, ws)):
-            limits.check_deadline(delta)
             offered.append(row)
             if ech.add(row) and ech.rank == len(ws):
                 break
 
-    ech.lift(lambda: limits.check_deadline(delta))
-    kept = right if unsorted else compress(offered, ech.raised[left:])
+    ech.lift()
+    kept = right if unsorted else compress(offered, ech.raised[len(left):])
     complement = [(tuple(row), tuple(row.values())) for row in kept]
     basis = ComponentBasis(d, p, ws, index, ech, complement)
     _cache[key] = basis
@@ -628,14 +638,9 @@ class NilpotencyResult:
             degree = "stopped after degree %d: %s" % (self.completed_degree, self.stopped)
         else:
             degree = "exceeds max_deg %d" % self.max_deg
-        out = {
-            "n": self.n,
-            "d": self.d,
-            "p": self.p,
-            "degree": degree,
-            "witness": W.format_word(self.witness) if self.witness else None,
-            "per_degree": self.per_degree,
-        }
+        out = {"n": self.n, "d": self.d, "p": self.p, "degree": degree,
+               "witness": W.format_word(self.witness) if self.witness else None,
+               "per_degree": self.per_degree}
         if self.stopped is not None:
             out["stopped"] = self.stopped
             out["completed_degree"] = self.completed_degree
@@ -672,14 +677,8 @@ def nilpotency_degree(n, d, p, max_deg, limits=None):
                 if witness_at_c is None:
                     witness_at_c = basis.nonpivot_words()[-1]
             nwords = W.word_count(delta)
-            log.append(
-                {
-                    "delta": list(delta),
-                    "words": nwords,
-                    "rank": nwords - qdim,
-                    "qdim": qdim,
-                }
-            )
+            log.append({"delta": list(delta), "words": nwords, "rank": nwords - qdim,
+                        "qdim": qdim})
         if all_zero:
             return NilpotencyResult(n, d, p, c, max_deg, witness, log)
         witness = witness_at_c

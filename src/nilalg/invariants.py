@@ -216,6 +216,11 @@ def generator_set(n, d, p, c_source=None):
     bound yields a generating superset).  All are made by one _sigmas call,
     so words share their prefix products.
     """
+    return _generator_set(n, d, p, c_source, DEFAULT_LIMITS)
+
+
+def _generator_set(n, d, p, c_source, limits):
+    """generator_set, its sigmas made under the given limits."""
     check_characteristic(p)
     if n not in (2, 3):
         raise ValueError("generic-matrix computations support n in {2, 3}")
@@ -228,7 +233,7 @@ def generator_set(n, d, p, c_source=None):
         caps[t] = cap = cap_of(n // t)
         entries += [(t, rep) for deg in range(1, cap + 1) for rep in _cyclic_reps(deg, d)]
     tail = [(t, (i,)) for t in range(n // 2 + 1, n + 1) if p <= t for i in range(1, d + 1)]
-    sigmas = _sigmas(n, d, p, entries + tail, DEFAULT_LIMITS)
+    sigmas = _sigmas(n, d, p, entries + tail, limits)
     return GeneratorSet(n, d, p, sigmas[:len(entries)], sigmas[len(entries):], caps)
 
 
@@ -265,7 +270,7 @@ def subalgebra_reduce(gens, targets, limits=None, spans=None):
     spans = {} if spans is None else spans
     built = _span(gens, xdeg, p, limits, spans)
     ech, index = built or _echelon(spans[xdeg][0], xdeg, p, limits)
-    ech.lift(lambda: limits.check_deadline(xdeg))
+    ech.lift()
     return [
         index.keys() >= target.poly.terms.keys()
         and ech.contains({index[m]: c for m, c in target.poly.terms.items()})
@@ -311,7 +316,7 @@ def _span(gens, xdeg, p, limits, spans):
     rows.extend(g.poly for _, g in own)
     tags.extend((sum(xdeg), i) for i, _ in own)
     ech, index = _echelon(rows, xdeg, p, limits)
-    kept = ech.independent(lambda: limits.check_deadline(xdeg))
+    kept = ech.independent()
     spans[xdeg] = (list(compress(rows, kept)),
                    [g for (_, g), ok in zip(own, kept[len(rows) - len(own):]) if ok],
                    list(compress(tags, kept)))
@@ -320,13 +325,12 @@ def _span(gens, xdeg, p, limits, spans):
 
 def _echelon(rows, xdeg, p, limits):
     """(echelon of the rows, monomial index); the rows go in as one block,
-    the deadline checked between its chunks."""
+    and the echelon checks the deadline between its chunks and in its lift."""
     monomials = set().union(*(poly.terms for poly in rows))
     limits.check_columns("invariant component %r" % (xdeg,), len(monomials))
     index = {m: i for i, m in enumerate(sorted(monomials))}
-    ech = Echelon(len(index), p)
-    ech.extend(({index[m]: c for m, c in poly.terms.items()} for poly in rows),
-               lambda: limits.check_deadline(xdeg))
+    ech = Echelon(len(index), p, lambda: limits.check_deadline(xdeg))
+    ech.extend({index[m]: c for m, c in poly.terms.items()} for poly in rows)
     return ech, index
 
 
@@ -337,15 +341,15 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
     invariant sigma_t(X_a) must reduce into products of the generators.
     Cases of one X-multidegree are decided together by one subalgebra_reduce
     call; the calls share their product spans, so each is built once.  The
-    targets are made by _sigmas, as the generators are by generator_set.
-    Returns a report with one entry per case, in the order of t, degree and
-    word.  limits bounds the width of every span, and its deadline, fixed
-    when the limits were made and checked at each target and each span
-    built, the whole check.
+    targets are made by _sigmas, as the generators are.  Returns a report
+    with one entry per case, in the order of t, degree and word.  limits
+    bounds the width of every span, and its deadline, fixed when the limits
+    were made and checked at each generator, target and span built, the
+    whole check.
     """
     limits = limits or DEFAULT_LIMITS
     cap_of = c_source or (lambda m: B.exact_known(m, d, p))
-    allgens = generator_set(n, d, p, cap_of).all()
+    allgens = _generator_set(n, d, p, cap_of, limits).all()
     cases, pairs = [], []
     for t in range(1, n + 1):
         cap = cap_of(n // t)

@@ -21,6 +21,9 @@ from nilalg.formal import FormalSum, parse_sum
 # [DERIVED] golden value: first computation of the p = 3 engine run gave 10,
 # inside the proven interval [3d+1, 3d+4] = [7, 10] for d = 2.
 GOLDEN_C_4_2_3 = 10
+# [DERIVED] golden value: the p = 3 engine run of C(5,2,p) gave 15, the
+# value over Q, with the same witness of degree 14.
+GOLDEN_C_5_2_3 = 15
 
 
 def verdict(num, ok, text):
@@ -250,3 +253,17 @@ def test_criterion_12_exact_5_2_0():
           and [delta for delta in qdims if sum(delta) == 15] == I._sorted_multidegrees(15, 2))
     verdict(12, ok, "C(5,2,0) = %s in %.1fs (need 15; nonzero qdims at degrees 13-14 %r)"
             % (r.degree, elapsed, nonzero))
+
+
+def test_criterion_13_exact_5_2_3_golden():
+    start = time.monotonic()
+    try:
+        r = I.nilpotency_degree(5, 2, 3, max_deg=16)
+        witness = r.to_json()["witness"]
+        nonzero = not I.contains(5, 3, parse_sum(witness, 2, 3))
+    finally:
+        I.clear_cache()
+    elapsed = time.monotonic() - start
+    verdict(13, r.degree == GOLDEN_C_5_2_3 and nonzero,
+            "C(5,2,3) = %s in %.1fs (golden %d), witness %s nonzero: %s"
+            % (r.degree, elapsed, GOLDEN_C_5_2_3, witness, nonzero))

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nilalg.formal import (
@@ -9,6 +10,7 @@ from nilalg.formal import (
     format_sum,
     parse_sum,
 )
+from nilalg.invariants import Poly
 
 
 def test_check_characteristic():
@@ -111,3 +113,20 @@ def test_integral_rational_coefficients_are_ints():
     assert [type(f.terms[w]) for w in [(1,), (2,), (1, 2)]] == [int, Fraction, int]
     g = FormalSum({(1,): Fraction(6, 3), (2,): 3}, 2, 0)
     assert [type(c) for c in g.terms.values()] == [int, int]
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("make", [
+    lambda p, c: FormalSum({(1, 1, 2, 2, 1): c, (1, 2, 1, 2, 1): 1}, 2, p),
+    lambda p, c: Poly({(1, 0): c, (0, 1): 1}, 2, p),
+    lambda p, c: FormalSum({(1,): 1}, 2, p).scale(c),
+    lambda p, c: Poly({(1, 0): 1}, 2, p).scale(c),
+], ids=["FormalSum", "Poly", "FormalSum.scale", "Poly.scale"])
+def test_coefficients_must_be_rational(p, make):
+    # a float is neither kept as it is mod p nor turned into its binary
+    # Fraction over Q; integers, Fractions and numpy integers are rational
+    for c in (0.5, 0.1, 2.0, complex(1, 0)):
+        with pytest.raises(ValueError, match="not rational"):
+            make(p, c)
+    assert make(p, Fraction(1, 2)) == make(p, Fraction(2, 4))
+    assert make(p, np.int64(5)) == make(p, 5)

@@ -675,39 +675,55 @@ def test_echelon_records_rows_that_raised_the_rank(p):
     assert ech.raised == [True, True]
 
 
-def _seed_case(rng, ncols):
-    """(held, reduced, rest): rows on the columns below a split, RREF rows
-    (columns, coefficients) on the columns above it, and rows anywhere."""
-    def entry():
-        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+def _seed_case(rng, p, ncols):
+    """(held, draw, rest): rows off a set of seed pivots; a function of the
+    held rows' pivots drawing RREF rows (columns, coefficients), with 1 at
+    each seed pivot, their first column, and entries on columns that are no
+    pivot, before or after it; and rows anywhere."""
+    dens = [d for d in (1, 2, 3, 4) if p == 0 or d % p]
 
-    split = rng.randint(0, ncols - 1)
-    held = [{c: entry() for c in range(split)} for _ in range(rng.randint(0, 3))]
-    pivots = sorted(rng.sample(range(split, ncols), rng.randint(1, ncols - split)))
-    reduced = []
-    for c in pivots:
-        cols = [c] + [j for j in range(c + 1, ncols) if j not in pivots and rng.random() < 0.6]
-        reduced.append((cols, [1] + [entry() for _ in cols[1:]]))
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice(dens))
+
+    pivots = rng.sample(range(ncols), rng.randint(1, ncols))
+    others = [c for c in range(ncols) if c not in pivots]
+    held = [{c: entry() for c in rng.sample(others, rng.randint(0, len(others)))}
+            for _ in range(rng.randint(0, 3))]
+
+    def draw(held_pivots):
+        rows = []
+        for c in pivots:
+            cols = [c] + [j for j in others if j not in held_pivots and rng.random() < 0.6]
+            rows.append((cols, [1] + [entry() for _ in cols[1:]]))
+        return rows
+
     rest = [{c: entry() for c in rng.sample(range(ncols), rng.randint(1, ncols))}
             for _ in range(rng.randint(0, 4))]
-    return held, reduced, rest
+    return held, draw, rest
 
 
-@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("p", [2, 3, 7, _LARGEST_PRIME, 0])
 def test_echelon_seed_matches_add(p):
-    # seeding rows already in reduced form, after rows on other columns and
-    # before any others, leaves the echelon as adding each row would
+    # seeding rows in reduced form, at pivots that need not be their first
+    # column, after held rows and before others, leaves the echelon as
+    # adding each row would
     rng = random.Random(p)
+    reordered = 0
     for _ in range(200):
         ncols = rng.randint(1, 9)
-        held, reduced, rest = _seed_case(rng, ncols)
+        held, draw, rest = _seed_case(rng, p, ncols)
         added, seeded = I.Echelon(ncols, p), I.Echelon(ncols, p)
         for row in held:
             added.add(row)
             seeded.add(row)
+        reduced = draw(set(added._pivots.tolist()))
+        reordered += any(min(cols) < cols[0] for cols, _ in reduced)
         for cols, vals in reduced:
             added.add(dict(zip(cols, vals)))
         seeded.seed(reduced)
+        assert (seeded.rank, seeded.raised) == (added.rank, added.raised)
+        mod_q, want = seeded._rref_mod(), added._rref_mod()
+        assert (mod_q[0], mod_q[1], mod_q[2].tolist()) == (want[0], want[1], want[2].tolist())
         for row in rest:
             added.add(row)
             seeded.add(row)
@@ -716,6 +732,7 @@ def test_echelon_seed_matches_add(p):
         assert seeded._offered == added._offered
         assert (seeded.rows, seeded.pivots) == (added.rows, added.pivots)
         assert (seeded.rank, seeded.raised) == (added.rank, added.raised)
+    assert reordered > 50
 
 
 def test_echelon_seed_allocates_only_the_free_columns():
@@ -876,9 +893,9 @@ def test_q_build_timeout_leaves_cache_clean(monkeypatch, clean_cache):
     limits = I.Limits(timeout_sec=600)
     lift = I.Echelon._certified_rref
 
-    def expiring(self, check):
+    def expiring(self):
         limits.deadline = time.monotonic()
-        return lift(self, check)
+        return lift(self)
 
     monkeypatch.setattr(I.Echelon, "_certified_rref", expiring)
     with pytest.raises(I.GuardError):
@@ -954,12 +971,10 @@ def test_component_rrefs_pinned(clean_cache, build, p, digest):
 
 
 def test_left_multiples_seeded_or_added(monkeypatch, clean_cache):
-    # C(4,2,0) seeds the left multiples whose shifted pivot stays first,
-    # inserts the rest (the violators) in one extend call per component, and
-    # adds the other rows one call per row; each of the 462 + 68 + 1 008 =
-    # 1 538 rows takes exactly one of the three ways (the children that are
-    # not weakly decreasing are read from their twins, not built), and every
-    # built component seeds all its children's rows in one call
+    # C(4,2,0) seeds every left multiple, 1 076 rows in one seed call per
+    # built component, and adds the other rows one call per row, 462 in
+    # all; no build calls extend (the children that are not weakly
+    # decreasing are read from their twins, not built)
     events = []  # (echelon, "add", "extend" or "seed", number of rows)
     add, extend, seed = I.Echelon.add, I.Echelon.extend, I.Echelon.seed
     adding = []  # nonempty inside add, whose one-row extend is not counted
@@ -972,11 +987,11 @@ def test_left_multiples_seeded_or_added(monkeypatch, clean_cache):
         finally:
             adding.pop()
 
-    def counted_extend(self, rows, check=None):
+    def counted_extend(self, rows):
         rows = list(rows)
         if not adding:
             events.append((self, "extend", len(rows)))
-        return extend(self, rows, check)
+        return extend(self, rows)
 
     def counted_seed(self, rows):
         events.append((self, "seed", len(rows)))
@@ -991,10 +1006,9 @@ def test_left_multiples_seeded_or_added(monkeypatch, clean_cache):
     ways = {way: [(id(ech), k) for ech, w, k in events if w == way]
             for way in ("add", "extend", "seed")}
     assert len(ways["add"]) == 462
-    assert sum(k for _, k in ways["extend"]) == 68
-    assert sum(k for _, k in ways["seed"]) == 1008
-    for way in ("extend", "seed"):
-        assert sorted(ech for ech, _ in ways[way]) == built
+    assert not ways["extend"]
+    assert sum(k for _, k in ways["seed"]) == 1076
+    assert len(built) == 35 and sorted(ech for ech, _ in ways["seed"]) == built
 
 
 @pytest.mark.parametrize("call", [
@@ -1029,11 +1043,11 @@ def test_q_complement_keeps_rows_lost_mod_lift_prime(monkeypatch, clean_cache):
     short = []
     lift = I.Echelon.lift
 
-    def recording(self, check=None):
+    def recording(self):
         if self._reduced is not None:
-            return lift(self, check)
+            return lift(self)
         rank_mod_q = len(self._pivots)
-        out = lift(self, check)
+        out = lift(self)
         short.append(rank_mod_q < self.rank)
         return out
 

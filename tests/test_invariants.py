@@ -11,7 +11,7 @@ from nilalg import bounds as B
 from nilalg import invariants as V
 from nilalg import words as W
 from nilalg.formal import FieldError
-from nilalg.ideal import LIFT_PRIME, Echelon
+from nilalg.ideal import LIFT_PRIME, Echelon, GuardError, Limits
 from test_ideal import _residual_reference, _rref_reference
 
 
@@ -608,10 +608,10 @@ def test_span_lifts_only_spans_that_a_target_asks_about(monkeypatch, p):
         built[id(out[0])] = out[0], xdeg  # kept alive, so no id is reused
         return out
 
-    def recording_lift(self, check=None):
+    def recording_lift(self):
         if self._reduced is None:
             lifted.append(id(self))
-        return lift(self, check)
+        return lift(self)
 
     def recording_reduce(gens, targets, limits=None, spans=None):
         asked.add(targets[0].xdeg)
@@ -623,3 +623,19 @@ def test_span_lifts_only_spans_that_a_target_asks_about(monkeypatch, p):
     assert V.generation_check(2, 2, p, 4)["summary"]["all_pass"]
     assert sorted(built[e][1] for e in lifted) == sorted(asked)
     assert {xdeg for _, xdeg in built.values()} - asked
+
+
+def test_generation_check_builds_its_generators_under_its_limits(monkeypatch):
+    # an expired deadline stops the check before any generator is made,
+    # instead of after every generator is made under the default limits
+    made = []
+    sigma = V.sigma_poly
+
+    def counted(t, M):
+        made.append(t)
+        return sigma(t, M)
+
+    monkeypatch.setattr(V, "sigma_poly", counted)
+    with pytest.raises(GuardError):
+        V.generation_check(3, 3, 0, 1, limits=Limits(timeout_sec=0))
+    assert made == []

@@ -6,8 +6,8 @@ recursively: the component at delta is spanned by letter-multiples of the
 components one degree down plus the unbordered instances of multidegree
 exactly delta.  Two rules skip rows that cannot raise the rank.  The left
 multiples x_k r of every child row come first, then the right multiples of
-each child's complement only, the rows that raised its rank after its own
-left multiples: the rest, L_{delta-e_k} x_k, lies in sum_j x_j I_{delta-e_j}.
+each child's complement only, its reduced rows at pivots not of its own left
+multiples: the rest, L_{delta-e_k} x_k, lies in sum_j x_j I_{delta-e_j}.
 The unbordered instances that lead a letter-moving relation are skipped
 (polarize): the relation puts each in the span of the kept instances and
 the letter multiples.  A build gathers every child's rows first; the left
@@ -35,7 +35,7 @@ import time
 from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
 from functools import cache
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from fractions import Fraction
 from math import isqrt
 
@@ -436,7 +436,9 @@ class ComponentBasis:
         self.index = index  # word -> column
         self.echelon = echelon
         # (columns, coefficients) rows that with the left multiples of the
-        # components one degree down span this one
+        # components one degree down span this one: the reduced rows whose
+        # pivot is no left multiple's own (mapped from the twin's when delta
+        # is not weakly decreasing)
         self.complement = complement
 
     @property
@@ -518,19 +520,24 @@ def component_basis(n, d, p, delta, limits=None):
         column = [index[prefix + w] for w in words]
         left += [([column[c] for c in cols], vals) for cols, vals in twin.echelon.rows]
         column = [index[w + prefix] for w in words]
-        right += [{column[c]: v for c, v in zip(cols, vals)} for cols, vals in twin.complement]
+        right += [([column[c] for c in cols], vals) for cols, vals in twin.complement]
     ech.seed(left)
-    offered = []  # the rows offered after the left multiples
     if not unsorted and sum(delta) >= n and ech.rank < len(ws):
-        # then the unbordered polarization instances at exactly delta
-        for row in chain(right, bare_instances(n, delta, p, ws)):
-            offered.append(row)
-            if ech.add(row) and ech.rank == len(ws):
+        # then, one at a time, the right multiples and the unbordered
+        # polarization instances at exactly delta
+        for row in chain((dict(zip(*r)) for r in right), bare_instances(n, delta, p, ws)):
+            ech.add(row)
+            if ech.rank == len(ws):
                 break
 
-    ech.lift()
-    kept = right if unsorted else compress(offered, ech.raised[len(left):])
-    complement = [(tuple(row), tuple(row.values())) for row in kept]
+    # The complement is read off the reduced rows R_c, c in the pivots P:
+    # those whose pivot is no seeded row's own.  A seeded row l_s has 1 at s
+    # and 0 at every other seeded pivot, so for s in P, l_s = R_s + the sum
+    # of (l_s)_c R_c over the pivots c in P not seeded: every R_c lies in the
+    # span of the left multiples and the complement, in every field.
+    rows = ech.lift()[0]
+    seeded = {cols[0] for cols, _ in left}
+    complement = right if unsorted else [row for row in rows if row[0][0] not in seeded]
     basis = ComponentBasis(d, p, ws, index, ech, complement)
     _cache[key] = basis
     return basis

@@ -206,7 +206,7 @@ def sigma_of_word(n, d, t, a, p=0):
     return _sigmas(n, d, p, [(t, W.validate_word(tuple(a), d))], DEFAULT_LIMITS)[0]
 
 
-def generator_set(n, d, p, c_source=None):
+def generator_set(n, d, p, c_source=None, limits=None):
     """The finite generating set of the conjugation-invariant ring.
 
     sigma_t(X_a) for t = 1 or p <= t <= n/2 with deg a bounded by the
@@ -214,13 +214,9 @@ def generator_set(n, d, p, c_source=None):
     matrices for n/2 < t <= n with p <= t.  Words are deduplicated up to
     cyclic rotation.  c_source may override the degree caps (a valid upper
     bound yields a generating superset).  All are made by one _sigmas call,
-    so words share their prefix products.
+    under limits, so words share their prefix products.
     """
-    return _generator_set(n, d, p, c_source, DEFAULT_LIMITS)
-
-
-def _generator_set(n, d, p, c_source, limits):
-    """generator_set, its sigmas made under the given limits."""
+    limits = limits or DEFAULT_LIMITS
     check_characteristic(p)
     if n not in (2, 3):
         raise ValueError("generic-matrix computations support n in {2, 3}")
@@ -349,7 +345,7 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
     """
     limits = limits or DEFAULT_LIMITS
     cap_of = c_source or (lambda m: B.exact_known(m, d, p))
-    allgens = _generator_set(n, d, p, cap_of, limits).all()
+    allgens = generator_set(n, d, p, cap_of, limits).all()
     cases, pairs = [], []
     for t in range(1, n + 1):
         cap = cap_of(n // t)

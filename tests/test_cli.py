@@ -136,6 +136,17 @@ def test_bounds_beyond_int_string_limit(capsys):
     assert by_id["nagata_higman"]["value_log10"] == pytest.approx(15000 * 0.30103, rel=1e-5)
 
 
+def test_bounds_refuses_n_beyond_the_recursive_limit(capsys):
+    # the recursive bound costs about n^0.75: an n above its limit is
+    # refused at once instead of running for minutes
+    n = str(10**15)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "--n", n, "--d", "2", "--p", "0", "--json")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert "recursive bound takes n <= 10000000, got n=%s" % n in err
+
+
 @pytest.mark.parametrize("flag", [("--limit-rows", "5"), ("--timeout-sec", "1")])
 def test_bounds_has_no_engine_limits(capsys, flag):
     code, out, err = run(capsys, "bounds", "--n", "5", "--d", "2", *flag)

@@ -972,9 +972,11 @@ def test_component_rrefs_pinned(clean_cache, build, p, digest):
 
 def test_left_multiples_seeded_or_added(monkeypatch, clean_cache):
     # C(4,2,0) seeds every left multiple, 1 076 rows in one seed call per
-    # built component, and adds the other rows one call per row, 462 in
+    # built component, and adds the other rows one call per row, 474 in
     # all; no build calls extend (the children that are not weakly
-    # decreasing are read from their twins, not built)
+    # decreasing are read from their twins, not built).  The adds include
+    # the right multiples of complement rows that are redundant, which a
+    # child has where its seed moved a pivot
     events = []  # (echelon, "add", "extend" or "seed", number of rows)
     add, extend, seed = I.Echelon.add, I.Echelon.extend, I.Echelon.seed
     adding = []  # nonempty inside add, whose one-row extend is not counted
@@ -1005,7 +1007,7 @@ def test_left_multiples_seeded_or_added(monkeypatch, clean_cache):
     built = sorted(id(basis.echelon) for basis in I._cache.values())
     ways = {way: [(id(ech), k) for ech, w, k in events if w == way]
             for way in ("add", "extend", "seed")}
-    assert len(ways["add"]) == 462
+    assert len(ways["add"]) == 474
     assert not ways["extend"]
     assert sum(k for _, k in ways["seed"]) == 1076
     assert len(built) == 35 and sorted(ech for ech, _ in ways["seed"]) == built
@@ -1029,8 +1031,9 @@ def test_characteristic_of_the_sum_is_required(clean_cache, call, given, over):
 
 def test_q_complement_keeps_rows_lost_mod_lift_prime(monkeypatch, clean_cache):
     # every unbordered instance times LIFT_PRIME: the same span over Q, but
-    # each vanishes mod LIFT_PRIME, so the rank there falls short and the
-    # complement must keep every row offered after the left block
+    # each vanishes mod LIFT_PRIME, so the rank there falls short; the
+    # complement, read off the certified rows, must still hand the parents
+    # what those instances add
     I.clear_cache()
     I.nilpotency_degree(3, 2, 0, 8)
     want = {key: basis.echelon.rows for key, basis in I._cache.items()}

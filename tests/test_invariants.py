@@ -627,7 +627,8 @@ def test_span_lifts_only_spans_that_a_target_asks_about(monkeypatch, p):
 
 def test_generation_check_builds_its_generators_under_its_limits(monkeypatch):
     # an expired deadline stops the check before any generator is made,
-    # instead of after every generator is made under the default limits
+    # instead of after every generator is made under the default limits;
+    # generator_set takes the same limits
     made = []
     sigma = V.sigma_poly
 
@@ -638,4 +639,6 @@ def test_generation_check_builds_its_generators_under_its_limits(monkeypatch):
     monkeypatch.setattr(V, "sigma_poly", counted)
     with pytest.raises(GuardError):
         V.generation_check(3, 3, 0, 1, limits=Limits(timeout_sec=0))
+    with pytest.raises(GuardError):
+        V.generator_set(3, 3, 0, limits=Limits(timeout_sec=0))
     assert made == []

@@ -212,14 +212,27 @@ def _dense(rows, column, ncols):
 
 @pytest.mark.parametrize("p", [0, 2, 3])
 @pytest.mark.parametrize("n", [3, 4])
-def test_unsorted_components_equal_bordered_span(n, p):
-    # a component whose multidegree is not weakly decreasing is read from its
-    # sorted twin, letters permuted; its RREF rows must be those of all its
-    # bordered instances in its own word order, and its complement with the
-    # left multiples of its children must span it
+def test_components_and_complements_equal_bordered_span(monkeypatch, n, p):
+    # every component's RREF rows must be those of all its bordered
+    # instances in its own word order (a multidegree that is not weakly
+    # decreasing is read from its sorted twin, letters permuted), and its
+    # complement with the left multiples of its children must span it.  A
+    # weakly decreasing component's complement is its own reduced rows whose
+    # pivot is no seeded row's own; where the seed moved a pivot (at p = 0
+    # too) it has more rows than the seed left the rank short
+    seeded = {}  # echelon -> the pivots of the rows seeded into it
+    seed = I.Echelon.seed
+
+    def recording(self, rows):
+        seeded[self] = {cols[0] for cols, _ in rows}
+        return seed(self, rows)
+
+    monkeypatch.setattr(I.Echelon, "seed", recording)
+    I.clear_cache()
+    moved = 0
     for d, top in [(2, 7), (3, 6)]:
         for delta in product(range(top + 1), repeat=d):
-            if not 1 <= sum(delta) <= top or list(delta) == sorted(delta, reverse=True):
+            if not 1 <= sum(delta) <= top:
                 continue
             basis = I.component_basis(n, d, p, delta)
             words, ncols = basis.words, len(basis.words)
@@ -233,8 +246,13 @@ def test_unsorted_components_equal_bordered_span(n, p):
                     rows += _dense(child.echelon.rows,
                                    lambda c: basis.index[(k + 1,) + child.words[c]], ncols)
             assert _rref_reference(rows, p) == want, (n, delta, p)
-
-
+            if list(delta) == sorted(delta, reverse=True):
+                by_pivot = {row[0][0]: row for row in basis.echelon.rows}
+                assert all(by_pivot[row[0][0]] is row for row in basis.complement)
+                own = seeded[basis.echelon]
+                assert {row[0][0] for row in basis.complement} == set(by_pivot) - own
+                moved += bool(own - set(by_pivot))
+    assert moved or p
 def _leads_letter_moving_relation(pairs):
     """Does the instance lead a letter-moving relation: its largest argument
     word w (by length, then letters) has multiplicity 1 and two or more

@@ -255,8 +255,7 @@ def main(argv=None):
     except I.GuardError as exc:
         print("guard breached: %s" % exc, file=sys.stderr)
         if exc.partial is not None:
-            print(json.dumps(getattr(exc.partial, "to_json", lambda: exc.partial)(),
-                             sort_keys=True), file=sys.stderr)
+            print(json.dumps(exc.partial.to_json(), sort_keys=True), file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader closed stdout early (say, `| head`): not a failure; stdout

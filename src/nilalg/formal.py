@@ -1,19 +1,17 @@
 """Sparse sums over an exact coefficient field, and formal sums of words.
 
-The field is the rationals (p=0, an integral coefficient stored as int,
-any other as Fraction) or the prime field F_p (coefficients stored as ints
-in 1..p-1).  Zero coefficients are never stored.  A prime must be at most
-MAX_PRIME = 3 037 000 499, so that the product of two residues always fits
-the int64 arithmetic of the mod-p elimination kernel.  check_characteristic
-remembers every accepted characteristic, so the trial division runs once
-per prime, not once per sum.
+The field is Q (p = 0: an integral coefficient stored as int, any other as
+Fraction) or F_p (ints in 1..p-1); zero coefficients are never stored.  A
+prime must be at most MAX_PRIME = 3 037 000 499, so that a product of two
+residues fits the int64 elimination kernel; check_characteristic decides
+primality by Miller-Rabin and remembers every accepted p.
 
-accumulate is the one loop that adds coefficients into a sparse dict,
-reduces them mod p and drops zeros.  SparseSum is the field-sum core built
-on it: addition, negation, subtraction, scaling, equality and the check
-that both operands live in one universe.  FormalSum (words over d letters,
-universe (d, p)) and invariants.Poly (packed exponent vectors, universe
-(nvars, p)) subclass it and add only their constructors and products.
+SparseSum is the one sparse sum over a field.  It owns the stored form, the
+field check, zero, the linear operations, the bilinear product (the product
+of two keys is their sum) and the universe check; accumulate is the one loop
+that adds coefficients and drops zeros.  FormalSum (words over d letters,
+universe (d, p)) and invariants.Poly (packed exponents, universe (nvars, p))
+add only their universe, their key and their own operations.
 clear_denominators is the one place that clears denominators.
 """
 
@@ -47,9 +45,20 @@ def check_characteristic(p):
             "prime characteristic must be <= %d (int64 elimination), got %r"
             % (MAX_PRIME, p)
         )
-    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    if not _is_prime(p):
         raise FieldError("characteristic must be 0 or prime, got %r" % (p,))
     return p
+
+
+def _is_prime(p):
+    """Miller-Rabin to the bases 2, 3, 5 and 7, exact below 3 215 031 751 >
+    MAX_PRIME (G. Jaeschke, Math. Comp. 61, 1993)."""
+    if p % 2 == 0 or p < 3:
+        return p == 2
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * odd
+    return all(p == a or pow(a, (p - 1) >> s, p) == 1
+               or p - 1 in (pow(a, (p - 1) >> s << i, p) for i in range(s))
+               for a in (2, 3, 5, 7))
 
 
 def coerce_coeff(c, p):
@@ -70,8 +79,13 @@ def coerce_coeff(c, p):
 
 
 def clear_denominators(values):
-    """(numerators, den): ints and Fractions as integers over their lcm den."""
-    den = lcm(*(v.denominator for v in values))
+    """(numerators, den): ints and Fractions as integers over their lcm den.
+    ValueError for a value with no denominator, such as a float."""
+    try:
+        den = lcm(*(v.denominator for v in values))
+    except AttributeError:
+        bad = next(v for v in values if not hasattr(v, "denominator"))
+        raise ValueError("need ints or Fractions, got %r" % (bad,)) from None
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
@@ -99,13 +113,27 @@ class SparseSum:
     """A finite sum of keys with nonzero coefficients in Q or F_p.
 
     terms maps keys to stored coefficients (see coerce_coeff).  A subclass
-    names its universe: _universe() returns the constructor arguments after
-    terms, ending with p, and the constructor accepts (terms, *universe,
-    _normalized=True) for terms that are already in stored form.  Sums are
+    names its universe (_universe(): the constructor arguments after terms,
+    ending with p) and its _key.  Built from (terms, *universe), the terms
+    go through _stored; with _normalized=True they are terms of a checked
+    sum, already in stored form, and are kept as they are.  Sums are
     combined only within one universe.
     """
 
     __slots__ = ("terms", "p")
+
+    @classmethod
+    def zero(cls, *universe):
+        return cls({}, *universe)
+
+    def _stored(self, terms):
+        """terms in stored form, after check_characteristic: keys through
+        _key, coefficients through coerce_coeff, zeros dropped."""
+        p = self.p
+        check_characteristic(p)
+        key = self._key
+        terms = {key(k): coerce_coeff(c, p) for k, c in terms.items()}
+        return {k: c for k, c in terms.items() if c}
 
     def _like(self, terms):
         """A sum in this universe with the given normalized terms."""
@@ -142,6 +170,18 @@ class SparseSum:
             return self._like({k: v * c % p for k, v in self.terms.items()})
         return self._like({k: v * c for k, v in self.terms.items()})
 
+    def __mul__(self, other):
+        """The bilinear product: the product of two keys is their sum, the
+        concatenation of words or the sum of packed exponents."""
+        self._check_same_universe(other)
+        return self._times(other)
+
+    def _times(self, other):
+        """The bilinear product, for a factor of this universe."""
+        return self._like(accumulate(
+            ((u + v, cu * cv) for u, cu in self.terms.items() for v, cv in other.terms.items()),
+            self.p))
+
     def __eq__(self, other):
         return (
             type(other) is type(self)
@@ -157,42 +197,26 @@ class FormalSum(SparseSum):
     """A finite F-linear combination of words over d letters.
 
     terms maps word tuples to nonzero stored coefficients; the universe is
-    (d, p).
+    (d, p), and the product is concatenation.  Every FormalSum refuses a p
+    that is no field, however it is made.
     """
 
     __slots__ = ("d",)
 
     def __init__(self, terms, d, p, _normalized=False):
-        check_characteristic(p)
         self.d = d
         self.p = p
         if _normalized:
+            check_characteristic(p)
             self.terms = terms
         else:
-            clean = {}
-            for w, c in terms.items():
-                W.validate_word(w, d)
-                c = coerce_coeff(c, p)
-                if c:
-                    clean[w] = c
-            self.terms = clean
+            self.terms = self._stored(terms)
 
     def _universe(self):
         return self.d, self.p
 
-    @classmethod
-    def zero(cls, d, p):
-        return cls({}, d, p, _normalized=True)
-
-    def __mul__(self, other):
-        """Concatenation product, extended bilinearly."""
-        self._check_same_universe(other)
-        return self._like(accumulate(
-            ((u + v, cu * cv)
-             for u, cu in self.terms.items()
-             for v, cv in other.terms.items()),
-            self.p,
-        ))
+    def _key(self, w):
+        return W.validate_word(w, self.d)
 
     def map_words(self, fn):
         """Apply a word-to-word map, collecting coefficients."""
@@ -206,10 +230,7 @@ class FormalSum(SparseSum):
         for w, c in self.terms.items():
             delta = W.multidegree(w, self.d)
             parts.setdefault(delta, {})[w] = c
-        return {
-            delta: FormalSum(t, self.d, self.p, _normalized=True)
-            for delta, t in parts.items()
-        }
+        return {delta: self._like(t) for delta, t in parts.items()}
 
     def __repr__(self):
         return "FormalSum(%s, d=%d, p=%d)" % (format_sum(self), self.d, self.p)

@@ -55,9 +55,7 @@ _CHUNK = 16
 class GuardError(RuntimeError):
     """A size or time guard was breached; .partial may hold partial output."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    partial = None
 
 
 @dataclass
@@ -140,7 +138,9 @@ class Echelon:
        rank mod q = len(R), so R is then the unique RREF over Q;
     4. if 2 or 3 fails, reduce the offered rows mod further primes, combine
        by CRT the RREFs of the primes with the best pivot set so far (largest
-       rank, then earliest pivots) and retry 2 and 3.
+       rank, then earliest pivots) and retry 2 and 3 whenever the number of
+       primes combined is a power of two: the lift then uses at most twice
+       the primes it needs, and tries 2 and 3 about log2 of that many times.
     A full rank mod LIFT_PRIME forces a full rank over Q: the RREF is the
     identity and nothing is reconstructed.  Where the rank over Q exceeds the
     rank mod LIFT_PRIME, the lift marks every row in raised; else the marked
@@ -235,7 +235,8 @@ class Echelon:
         if self.p or len(self._pivots) == self.ncols:
             return self._rref_mod()
         n = self.ncols
-        best = None  # [(-rank, pivots), modulus, RREF table mod the modulus]
+        # [(-rank, pivots), modulus, RREF table mod the modulus, primes in it]
+        best = None
         for q in _lift_primes():
             self._check()
             ech = self
@@ -245,12 +246,14 @@ class Echelon:
             pivots, free, table = ech._rref_mod()
             key = (-len(pivots), pivots)
             if best is None or key < best[0]:
-                best = [key, q, table]
+                best = [key, q, table, 1]
             elif key == best[0]:
                 m, old = best[1], best[2].astype(object)
-                best[1:] = m * q, old + m * ((table - old) * pow(m, -1, q) % q)
+                best[1:] = m * q, old + m * ((table - old) * pow(m, -1, q) % q), best[3] + 1
             else:
                 continue  # q lost rank or moved a pivot: it divides a minor
+            if best[3] & (best[3] - 1):
+                continue  # steps 2 and 3 only at 1, 2, 4, 8, ... primes
             # reconstruct each distinct residue once; where indexes them
             residues, where = np.unique(best[2], return_inverse=True)
             fracs = [_rational(int(t), best[1]) for t in residues]

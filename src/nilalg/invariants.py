@@ -19,7 +19,7 @@ from operator import add, itemgetter, le, mul, or_, sub
 
 from . import bounds as B
 from . import words as W
-from .formal import SparseSum, accumulate, check_characteristic, clear_denominators, coerce_coeff
+from .formal import SparseSum, check_characteristic, clear_denominators, coerce_coeff
 from .ideal import DEFAULT_LIMITS, Echelon
 
 
@@ -29,14 +29,14 @@ def var_index(n, i, j, k):
 
 
 class Poly(SparseSum):
-    """Sparse multivariate polynomial; packed monomials -> field coefficients.
+    """Sparse multivariate polynomial, a SparseSum of universe (nvars, p).
 
-    The universe is (nvars, p).  The constructor takes exponent tuples with
-    entries in 0..255 and packs them.  A product refuses a factor with an
-    exponent above 127 (ValueError), so no sum of exponents carries into the
-    next byte.  Over Q the constructor stores an integral coefficient as int,
-    so sums and products of integer polynomials stay in int arithmetic; equal
-    int and Fraction values compare and hash equal.
+    Keys are exponent tuples with entries in 0..255, packed by _key, so the
+    product of two monomials is the sum of their keys; a product refuses a
+    factor with an exponent above 127 (ValueError), so nothing carries.  The
+    constructor, zero, const and variable refuse a p that is no field
+    (FieldError).  Over Q an integral coefficient is stored as int, so
+    integer polynomials stay in int arithmetic.
     """
 
     __slots__ = ("nvars",)
@@ -44,22 +44,14 @@ class Poly(SparseSum):
     def __init__(self, terms, nvars, p, _normalized=False):
         self.nvars = nvars
         self.p = p
-        if _normalized:
-            self.terms = terms
-        else:
-            clean = {}
-            for e, c in terms.items():
-                c = coerce_coeff(c, p)
-                if c:
-                    clean[int.from_bytes(bytes(e), "big")] = c
-            self.terms = clean
+        self.terms = terms if _normalized else self._stored(terms)
 
     def _universe(self):
         return self.nvars, self.p
 
-    @classmethod
-    def zero(cls, nvars, p):
-        return cls({}, nvars, p, _normalized=True)
+    @staticmethod
+    def _key(e):
+        return int.from_bytes(bytes(e), "big")
 
     @classmethod
     def const(cls, c, nvars, p):
@@ -73,11 +65,10 @@ class Poly(SparseSum):
 
     def __mul__(self, other):
         self._check_same_universe(other)
-        a, b = self.terms, other.terms
-        if (reduce(or_, a, 0) | reduce(or_, b, 0)) & int.from_bytes(b"\x80" * self.nvars, "big"):
+        high = int.from_bytes(b"\x80" * self.nvars, "big")  # bit 7 of every exponent
+        if (reduce(or_, self.terms, 0) | reduce(or_, other.terms, 0)) & high:
             raise ValueError("a factor has an exponent above 127")
-        return self._like(accumulate(
-            ((k1 + k2, c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()), self.p))
+        return self._times(other)
 
     def evaluate(self, values):
         """Evaluate at a full vector of ints or Fractions (ValueError
@@ -86,7 +77,7 @@ class Poly(SparseSum):
         and one Fraction, the sum over D^top, is brought into the field."""
         if len(values) != self.nvars:
             raise ValueError("need %d values, got %d" % (self.nvars, len(values)))
-        nums, den = _exact(values)
+        nums, den = clear_denominators(values)
         terms = [(c, key.to_bytes(self.nvars, "big")) for key, c in self.terms.items()]
         top = max((sum(e) for _, e in terms), default=0)
         total = 0
@@ -206,27 +197,25 @@ def sigma_of_word(n, d, t, a, p=0):
     return _sigmas(n, d, p, [(t, W.validate_word(tuple(a), d))], DEFAULT_LIMITS)[0]
 
 
-def generator_set(n, d, p, c_source=None, limits=None):
+def generator_set(n, d, p, limits=None):
     """The finite generating set of the conjugation-invariant ring.
 
     sigma_t(X_a) for t = 1 or p <= t <= n/2 with deg a bounded by the
     nilpotency degree for power floor(n/t), plus sigma_t of the single
     matrices for n/2 < t <= n with p <= t.  Words are deduplicated up to
-    cyclic rotation.  c_source may override the degree caps (a valid upper
-    bound yields a generating superset).  All are made by one _sigmas call,
-    under limits, so words share their prefix products.
+    cyclic rotation.  The degree caps are bounds.exact_known.  All are made
+    by one _sigmas call, under limits, so words share their prefix products.
     """
     limits = limits or DEFAULT_LIMITS
     check_characteristic(p)
     if n not in (2, 3):
         raise ValueError("generic-matrix computations support n in {2, 3}")
-    cap_of = c_source or (lambda m: B.exact_known(m, d, p))
     entries = []
     caps = {}
     for t in range(1, n // 2 + 1):
         if t != 1 and not (p <= t):
             continue
-        caps[t] = cap = cap_of(n // t)
+        caps[t] = cap = B.exact_known(n // t, d, p)
         entries += [(t, rep) for deg in range(1, cap + 1) for rep in _cyclic_reps(deg, d)]
     tail = [(t, (i,)) for t in range(n // 2 + 1, n + 1) if p <= t for i in range(1, d + 1)]
     sigmas = _sigmas(n, d, p, entries + tail, limits)
@@ -330,7 +319,7 @@ def _echelon(rows, xdeg, p, limits):
     return ech, index
 
 
-def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
+def generation_check(n, d, p, extra_deg, limits=None):
     """Degreewise evidence that the generator set generates.
 
     For every t and every word a of degree in (cap, cap + extra_deg], the
@@ -344,11 +333,10 @@ def generation_check(n, d, p, extra_deg, c_source=None, limits=None):
     whole check.
     """
     limits = limits or DEFAULT_LIMITS
-    cap_of = c_source or (lambda m: B.exact_known(m, d, p))
-    allgens = generator_set(n, d, p, cap_of, limits).all()
+    allgens = generator_set(n, d, p, limits).all()
     cases, pairs = [], []
     for t in range(1, n + 1):
-        cap = cap_of(n // t)
+        cap = B.exact_known(n // t, d, p)
         for deg in range(cap + 1, cap + extra_deg + 1):
             for rep in _cyclic_reps(deg, d):
                 pairs.append((t, rep))
@@ -410,19 +398,9 @@ def matrix_values(n, d, matrices):
     return values
 
 
-def _exact(values):
-    """clear_denominators(values), refusing with a ValueError a value that
-    is not an int or a Fraction (a float has no denominator)."""
-    try:
-        return clear_denominators(values)
-    except AttributeError:
-        bad = next((v for v in values if not isinstance(v, (int, Fraction))), None)
-        raise ValueError("need ints or Fractions, got %r" % (bad,)) from None
-
-
 def _integral(m):
     """(integer matrix, den) with m = integer matrix / den."""
-    nums, den = _exact([x for row in m for x in row])
+    nums, den = clear_denominators([x for row in m for x in row])
     nums = iter(nums)
     return [[next(nums) for _ in row] for row in m], den
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from nilalg import bounds as B
+from nilalg import ideal as I
 
 
 def ids(results):
@@ -21,6 +22,7 @@ def test_exact_known_table():
     assert B.exact_known(3, 4, 3) == 13  # 3d + 1 for p = 3
     assert B.exact_known(4, 2, 0) == 10
     assert B.exact_known(4, 2, 3) is None
+    assert B.exact_known(4, 3, 3) == 12  # the degree scan mod 3
     assert B.exact_known(5, 2, 0) == 15  # the degree scan over Q
     # no computation or cited proof gives C(5,2) at any p > 0, nor C(5,3,0)
     for p in (2, 3, 5, 7):
@@ -36,6 +38,18 @@ def test_c520_tightens_the_recursion_and_lower_bounds():
     low = {b.formula_id: b.value_exact for b in B.lower_bounds(6, 2, 0)}
     assert low["monotone_from_n5"] == 15
     assert "monotone_from_n4" not in low
+
+
+def test_c433_feeds_the_lower_bounds():
+    # C(4,3,3) = 12 replaces C(3,3,3) = 10 as the monotone lower bound
+    low = {b.formula_id: b.value_exact for b in B.lower_bounds(5, 3, 3)}
+    assert low["monotone_from_n4"] == 12 and "monotone_from_n3" not in low
+    summary = B.best_bounds(4, 3, 3)
+    assert summary.best_lower.value_exact == summary.best_upper.value_exact == 12
+
+
+def test_exact_known_n4_d3_p0_matches_the_degree_scan():
+    assert I.nilpotency_degree(4, 3, 0, 11).degree == B.exact_known(4, 3, 0) == 10
 
 
 def test_recursive_bound_n5_is_12d_plus_1():

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
+from itertools import chain
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from nilalg.formal import (
+    MAX_PRIME,
     FieldError,
     FormalSum,
     check_characteristic,
@@ -14,12 +18,42 @@ from nilalg.invariants import Poly
 
 
 def test_check_characteristic():
-    # 3_037_000_493 and 3_037_000_507 are the primes next to MAX_PRIME
+    # 3_037_000_493 and 3_037_000_507 are the primes next to MAX_PRIME;
+    # 25_326_001 is a strong pseudoprime to the bases 2, 3 and 5, and
+    # 2**61 - 1 a prime above MAX_PRIME.  Every sparse sum, however it is
+    # made, refuses what check_characteristic refuses
     for p in (0, 2, 3, 5, 2_147_483_647, 3_037_000_493):
         check_characteristic(p)
-    for p in (1, 4, 6, -3, 9, 3_037_000_507, 8_589_934_609):
-        with pytest.raises(FieldError):
+    for p in (1, 4, 6, -3, 9, 25_326_001, 3_037_000_507, 8_589_934_609, 2**61 - 1):
+        for make in (check_characteristic, lambda p: FormalSum({(1,): 1}, 1, p),
+                     lambda p: FormalSum.zero(1, p), lambda p: parse_sum("x1", 1, p),
+                     lambda p: Poly({(1,): 1}, 1, p), lambda p: Poly.zero(1, p)):
+            with pytest.raises(FieldError):
+                make(p)
+
+
+def test_check_characteristic_agrees_with_trial_division():
+    # the Miller-Rabin test against trial division by the primes up to
+    # isqrt(MAX_PRIME): every p below 20 000, and 3 000 random p below MAX_PRIME
+    top = isqrt(MAX_PRIME)
+    sieve = bytearray([1]) * (top + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(top) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, top + 1, i)))
+    primes = [i for i in range(top + 1) if sieve[i]]
+
+    def is_prime(p):
+        return p > 1 and all(p % q for q in primes if q * q <= p and q < p)
+
+    rng = random.Random(17)
+    for p in chain(range(1, 20_000), (rng.randrange(2, MAX_PRIME + 1) for _ in range(3_000))):
+        try:
             check_characteristic(p)
+        except FieldError:
+            assert not is_prime(p), p
+        else:
+            assert is_prime(p), p
 
 
 def test_refused_characteristic_is_not_remembered():

@@ -829,9 +829,31 @@ def test_echelon_extend_matches_add(monkeypatch, p, seed):
         assert many._offered == one._offered
         (pivots, free, table), mod_q = many._rref_mod(), one._rref_mod()
         assert (pivots, free, table.tolist()) == (mod_q[0], mod_q[1], mod_q[2].tolist())
-        if p or ncols < 100:  # the certified lift of the widest case takes minutes
+        if p or ncols < 100:  # one widest lift over Q is the next test's
             assert (many.rows, many.pivots) == (one.rows, one.pivots)
             assert (many.raised, many.rank) == (one.raised, one.rank)
+
+
+def test_echelon_extend_matches_add_widest_q():
+    # the widest case of the last test over Q, lifted: 60 independent rows,
+    # then 80 more, over 120 columns, with RREF denominators of 959 digits;
+    # the lift tries reconstruction only at 1, 2, 4, ... primes
+    rng = random.Random(3)
+    held = [{i: 1, **{c + 60: v for c, v in row.items()}}
+            for i, row in enumerate(_kernel_rows(rng, 0, 60, 60))]
+    block = _kernel_rows(rng, 0, 120, 80, held)
+    one, many = I.Echelon(120, 0), I.Echelon(120, 0)
+    for row in held:
+        one.add(row)
+        many.add(row)
+    many.extend(block)
+    for row in block:
+        one.add(row)
+    assert (many.rows, many.pivots) == (one.rows, one.pivots)
+    assert (many.raised, many.rank) == (one.raised, one.rank)
+    assert max(len(str(x.denominator)) for _, vals in many.rows for x in vals
+               if type(x) is Fraction) == 959
+    assert not any(many.residual(row) for row in held + block)
 
 
 def test_echelon_extend_refuses_a_chunk_whole():

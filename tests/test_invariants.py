@@ -10,7 +10,7 @@ import pytest
 from nilalg import bounds as B
 from nilalg import invariants as V
 from nilalg import words as W
-from nilalg.formal import FieldError
+from nilalg.formal import FieldError, clear_denominators
 from nilalg.ideal import LIFT_PRIME, Echelon, GuardError, Limits
 from test_ideal import _residual_reference, _rref_reference
 
@@ -198,6 +198,25 @@ def test_poly_mixed_universes():
     assert a != V.Poly.variable(0, 2, 3)
 
 
+@pytest.mark.parametrize("p", [4, 2**61 - 1])
+@pytest.mark.parametrize("make", [
+    lambda p: V.Poly({(1, 0): 1}, 2, p),
+    lambda p: V.Poly.zero(2, p),
+    lambda p: V.Poly.const(1, 2, p),
+    lambda p: V.Poly.variable(0, 2, p),
+    lambda p: V.generic_matrix(2, 2, p, 1),
+    lambda p: V.eval_word(2, 2, (1, 2), p),
+    lambda p: V.sigma_of_word(2, 2, 1, (1, 2), p),
+    lambda p: V.newton_sigma_check(2, 1, p),
+], ids=["Poly", "zero", "const", "variable", "generic_matrix", "eval_word",
+        "sigma_of_word", "newton_sigma_check"])
+def test_poly_refuses_a_ring_that_is_not_a_field(p, make):
+    # Z/4 is no field and 2**61 - 1 is a prime above MAX_PRIME: every way
+    # to build a Poly refuses both, so no span is ever built over them
+    with pytest.raises(FieldError):
+        make(p)
+
+
 def test_generator_set_n2():
     gs = V.generator_set(2, 2, 0)
     labels = {(g.t, g.word) for g in gs.all()}
@@ -258,14 +277,14 @@ def test_generation_check_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def _generation_check_oracle(n, d, p, extra_deg, cap_of):
+def _generation_check_oracle(n, d, p, extra_deg):
     """[(t, word, pass)] in report order, one case at a time: the products
     of generators are built by brute force over multisets, and membership
     is decided by plain Gauss-Jordan elimination."""
-    gens = V.generator_set(n, d, p, cap_of).all()
+    gens = V.generator_set(n, d, p).all()
     out = []
     for t in range(1, n + 1):
-        cap = cap_of(n // t)
+        cap = V.B.exact_known(n // t, d, p)
         for deg in range(cap + 1, cap + extra_deg + 1):
             reps = dict.fromkeys(V.cyclic_min(a) for a in product(range(1, d + 1), repeat=deg))
             for rep in reps:
@@ -282,12 +301,12 @@ def _generation_check_oracle(n, d, p, extra_deg, cap_of):
 
 
 @pytest.mark.parametrize("p, failures", [(0, 7), (2, 7), (3, 24)])
-def test_generation_check_failing_cases(p, failures):
+def test_generation_check_failing_cases(monkeypatch, p, failures):
     # degree caps of 1 are too small: some cases must fail
-    cap_of = lambda m: 1  # noqa: E731
-    rep = V.generation_check(2, 2, p, 3, c_source=cap_of)
+    monkeypatch.setattr(V.B, "exact_known", lambda m, d, p: 1)
+    rep = V.generation_check(2, 2, p, 3)
     got = [(c["t"], c["word"], c["pass"]) for c in rep["cases"]]
-    assert got == _generation_check_oracle(2, 2, p, 3, cap_of)
+    assert got == _generation_check_oracle(2, 2, p, 3)
     assert len(got) == 26 and sum(not ok for _, _, ok in got) == failures
     assert rep["summary"] == {"total": 26, "passed": 26 - failures, "all_pass": False}
 
@@ -593,6 +612,9 @@ def test_evaluate_refuses_floats():
     with pytest.raises(ValueError, match="need ints or Fractions, got 0.5"):
         x.evaluate([0.5, 1])
     assert x.evaluate([Fraction(1, 2), 1]) == Fraction(1, 2)
+    # the refusal is clear_denominators' own
+    with pytest.raises(ValueError, match="need ints or Fractions, got 0.5"):
+        clear_denominators([1, 0.5])
 
 
 @pytest.mark.parametrize("p", [2, 3])

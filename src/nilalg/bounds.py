@@ -86,8 +86,8 @@ def exact_known(n, d, p):
     if n == 4 and p == 0:
         return 10
     if (n, d, p) == (4, 3, 3):
-        # [DERIVED] nilalg exact --n 4 --d 3 --p 3 --max-deg 13 --limit-rows 40000,
-        # the C(4,3,3) step of the tier-1 workflow
+        # [DERIVED] nilalg exact --n 4 --d 3 --p 3 --max-deg 13, the C(4,3,3)
+        # step of the tier-1 workflow and acceptance criterion 14
         return 12
     if n == 5 and d == 2 and p == 0:
         return 15  # nilpotency_degree(5, 2, 0, 16); Shestakov-Zhukavets 2004

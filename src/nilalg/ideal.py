@@ -65,7 +65,7 @@ class Limits:
     the limits are made (None without a timeout).  Every call given the same
     limits shares that one deadline."""
 
-    max_component_words: int = 20_000
+    max_component_words: int = 50_000
     timeout_sec: InitVar[float | None] = None
     deadline: float | None = field(init=False)
 

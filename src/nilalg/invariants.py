@@ -14,7 +14,7 @@ principal t x t minors, which is valid in every characteristic.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, compress, permutations, product, repeat
+from itertools import chain, combinations, compress, product, repeat
 from operator import add, itemgetter, le, mul, or_, sub
 
 from . import bounds as B
@@ -31,12 +31,12 @@ def var_index(n, i, j, k):
 class Poly(SparseSum):
     """Sparse multivariate polynomial, a SparseSum of universe (nvars, p).
 
-    Keys are exponent tuples with entries in 0..255, packed by _key, so the
-    product of two monomials is the sum of their keys; a product refuses a
-    factor with an exponent above 127 (ValueError), so nothing carries.  The
-    constructor, zero, const and variable refuse a p that is no field
-    (FieldError).  Over Q an integral coefficient is stored as int, so
-    integer polynomials stay in int arithmetic.
+    Keys are exponent tuples of length nvars with entries in 0..255
+    (ValueError otherwise), packed by _key, so the product of two monomials
+    is the sum of their keys; a product refuses a factor with an exponent
+    above 127 (ValueError), so nothing carries.  Every constructor refuses a
+    p that is no field (FieldError).  Over Q an integral coefficient is
+    stored as int, so integer polynomials stay in int arithmetic.
     """
 
     __slots__ = ("nvars",)
@@ -49,8 +49,9 @@ class Poly(SparseSum):
     def _universe(self):
         return self.nvars, self.p
 
-    @staticmethod
-    def _key(e):
+    def _key(self, e):
+        if len(e) != self.nvars:
+            raise ValueError("need %d exponents, got %r" % (self.nvars, e))
         return int.from_bytes(bytes(e), "big")
 
     @classmethod
@@ -126,16 +127,19 @@ def _prefix_products(n, d, p):
     return product_of
 
 
-def _det(rows):
-    size, (nvars, p) = len(rows), rows[0][0]._universe()
-    out = Poly.zero(nvars, p)
-    for perm in permutations(range(size)):
-        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(size), 2))
-        prod = Poly.const((-1) ** inversions, nvars, p)
-        for i in range(size):
-            prod = prod * rows[i][perm[i]]
-        out = out + prod
-    return out
+def _minor(m, i, j):
+    """The square matrix m without its row i and its column j."""
+    return [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+
+
+def _det(m):
+    """Determinant of a square matrix of Polys or ints (1 if empty), expanded
+    along the first row, each sign a negation: about n! products, for generic
+    matrices at n <= 3 and conjugate_tuple at n = 2 (benchmark), n <= 4 (tests)."""
+    if len(m) <= 1:
+        return m[0][0] if m else 1
+    terms = (a * _det(_minor(m, 0, j)) for j, a in enumerate(m[0]))
+    return reduce(add, (-x if j % 2 else x for j, x in enumerate(terms)))
 
 
 def sigma_poly(t, M):
@@ -144,14 +148,10 @@ def sigma_poly(t, M):
     n = len(M)
     if not (0 <= t <= n):
         raise ValueError("need 0 <= t <= %d, got %d" % (n, t))
-    nvars, p = M[0][0]._universe()
     if t == 0:
-        return Poly.const(1, nvars, p)
-    out = Poly.zero(nvars, p)
-    for rows in combinations(range(n), t):
-        sub = [[M[i][j] for j in rows] for i in rows]
-        out = out + _det(sub)
-    return out
+        return Poly.const(1, *M[0][0]._universe())
+    return reduce(add, (_det([[M[i][j] for j in rows] for i in rows])
+                        for rows in combinations(range(n), t)))
 
 
 @dataclass(frozen=True)
@@ -406,25 +406,14 @@ def _integral(m):
 
 
 def _adjugate(g):
-    """(adj g, det g) of a square integer matrix, by one fraction-free
-    (Bareiss) Gauss-Jordan elimination of [g | I]: every division is exact,
-    and it ends at [det I | adj].  ValueError if g is singular."""
+    """(adj g, det g) of a square integer matrix, each cofactor the _det of
+    an (n-1) x (n-1) minor.  ValueError if g is singular."""
     n = len(g)
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if rows[r][k]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        # swap two rows and negate one: the determinant stays as it is
-        top = rows[k] if piv == k else [-x for x in rows[piv]]
-        rows[k], rows[piv] = top, rows[k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(top[k] * x - f * y) // prev for x, y in zip(rows[i], top)]
-        prev = top[k]
-    return [row[n:] for row in rows], prev
+    adj = [[(-1) ** (i + j) * _det(_minor(g, i, j)) for i in range(n)] for j in range(n)]
+    det = sum(a * row[0] for a, row in zip(g[0], adj))
+    if not det:
+        raise ValueError("matrix is singular")
+    return adj, det
 
 
 def conjugate_tuple(matrices, g):

@@ -75,10 +75,12 @@ def power_sort_key(v):
     return (-len(v), v)
 
 
+@lru_cache(maxsize=1 << 16)
 def order_key(w, d, order):
     """The per-letter key that order compares, for letters 1..d: the
     power_sort_key of each sorted run vector for "gtr", minus each run count
-    for "succ" (fewer runs is greater)."""
+    for "succ" (fewer runs is greater).  Cached, since a component's words
+    are asked about again by every equivalence check on it."""
     if order == "gtr":
         return tuple(power_sort_key(sorted_power(w, k)) for k in range(1, d + 1))
     if order == "succ":

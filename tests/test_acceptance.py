@@ -24,6 +24,9 @@ GOLDEN_C_4_2_3 = 10
 # [DERIVED] golden value: the p = 3 engine run of C(5,2,p) gave 15, the
 # value over Q, with the same witness of degree 14.
 GOLDEN_C_5_2_3 = 15
+# [DERIVED] golden value: the p = 3 engine run of C(4,3,p) gave 12, with the
+# witness x3^2.x2^2.x3.x1^3.x2.x1^2 of degree 11 (10 over Q and at p = 5).
+GOLDEN_C_4_3_3 = 12
 
 
 def verdict(num, ok, text):
@@ -267,3 +270,26 @@ def test_criterion_13_exact_5_2_3_golden():
     verdict(13, r.degree == GOLDEN_C_5_2_3 and nonzero,
             "C(5,2,3) = %s in %.1fs (golden %d), witness %s nonzero: %s"
             % (r.degree, elapsed, GOLDEN_C_5_2_3, witness, nonzero))
+
+
+def test_criterion_14_exact_4_3_3_golden():
+    # every component fits the default column guard, (4,4,4) with 34 650
+    # words the widest; degree 11 is nonzero only at (4,4,3) and (5,3,3)
+    start = time.monotonic()
+    try:
+        r = I.nilpotency_degree(4, 3, 3, max_deg=13)
+        witness = r.to_json()["witness"]
+        nonzero = not I.contains(4, 3, parse_sum(witness, 3, 3))
+    finally:
+        I.clear_cache()
+    elapsed = time.monotonic() - start
+    qdims = {tuple(row["delta"]): row["qdim"] for row in r.per_degree}
+    top = {delta: qdim for delta, qdim in qdims.items() if sum(delta) == 11 and qdim}
+    last = [delta for delta in qdims if sum(delta) == 12]
+    ok = (r.degree == GOLDEN_C_4_3_3 and witness == "x3^2.x2^2.x3.x1^3.x2.x1^2" and nonzero
+          and top == {(4, 4, 3): 4, (5, 3, 3): 2}
+          and last == I._sorted_multidegrees(12, 3) and len(last) == 19
+          and not any(qdims[delta] for delta in last))
+    verdict(14, ok, "C(4,3,3) = %s in %.1fs (golden %d), witness %s nonzero: %s; "
+            "nonzero qdims at degree 11 %r" % (r.degree, elapsed, GOLDEN_C_4_3_3, witness,
+                                               nonzero, top))

@@ -53,6 +53,27 @@ def test_sigma_char_poly_coefficients():
         assert lhs == rhs
 
 
+def test_sigma_costs_one_cofactor_expansion(monkeypatch):
+    # sigma_t of a generic 3 x 3 matrix expands each principal minor along
+    # its first row: t = 1 takes no product, each of the three 2 x 2 minors
+    # two, and the 3 x 3 determinant three times two plus three
+    X = V.generic_matrix(3, 1, 0, 1)
+    made = []
+    times = V.Poly.__mul__
+
+    def counted(a, b):
+        made.append(1)
+        return times(a, b)
+
+    monkeypatch.setattr(V.Poly, "__mul__", counted)
+    counts = []
+    for t in (1, 2, 3):
+        made.clear()
+        V.sigma_poly(t, X)
+        counts.append(len(made))
+    assert counts == [0, 6, 9]
+
+
 def test_eval_word_is_matrix_product():
     M = V.eval_word(2, 2, (1, 2), p=0)
     A = [[1, 2], [3, 4]]
@@ -168,7 +189,9 @@ def test_packed_exponents_never_carry():
             factor * x
         with pytest.raises(ValueError):
             x * factor
-    for e in ((256, 0), (0, -1)):
+    # and every exponent tuple is one byte per variable: no tuple of another
+    # length is read as the exponents of some of the variables
+    for e in ((256, 0), (0, -1), (1,), (1, 0, 0)):
         with pytest.raises(ValueError):
             V.Poly({e: 1}, 2, 0)
 
